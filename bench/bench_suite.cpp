@@ -16,11 +16,10 @@
 // register-window gain, and const2d_f32 vs const2d at equal config the fp32
 // precision gain.
 //
-// MWD rows: "mwd_g2" pools pairs of threads over shared diamonds
-// (RunOptions::mwd_group = 2, core/mwd.hpp) at the wave configuration;
-// "cats2_teams" is the incumbent multi-thread sharing scheme (3D CATS2
-// y-split teams, team_size = 2) it races. Both degrade gracefully at
-// THREADS=1 (group/team width clamps to 1), so single-thread baselines stay
+// MWD row: "mwd_g2" pools pairs of threads over shared diamonds
+// (RunOptions::mwd_group = 2, plan/emit.hpp emit_mwd) at the wave
+// configuration, raced against "cats2_wave". It degrades gracefully at
+// THREADS=1 (the group width clamps to 1), so single-thread baselines stay
 // comparable across the matrix.
 
 #include "common.hpp"
@@ -42,19 +41,17 @@ struct SchemeConfig {
   bool nt_stores;
   int prefetch_dist;
   bool temporal_vec;  // RunOptions::temporal_vec (register-window chains)
-  int team_size;      // RunOptions::team_size (3D CATS1/2 y-split teams)
   int mwd_group;      // RunOptions::mwd_group (MWD shared-diamond groups)
 };
 
 constexpr SchemeConfig kConfigs[] = {
-    {"naive", Scheme::Naive, 1, false, 0, false, 0, 0},
-    {"pluto", Scheme::PlutoLike, 1, false, 0, false, 0, 0},
-    {"cats1", Scheme::Cats1, 0, false, 4, false, 0, 0},
-    {"cats2_plain", Scheme::Cats2, 1, false, 0, false, 0, 0},
-    {"cats2_wave", Scheme::Cats2, 0, true, 4, false, 0, 0},
-    {"cats2_tv", Scheme::Cats2, 0, true, 4, true, 0, 0},
-    {"cats2_teams", Scheme::Cats2, 0, true, 4, false, 2, 0},
-    {"mwd_g2", Scheme::Mwd, 0, true, 4, false, 0, 2},
+    {"naive", Scheme::Naive, 1, false, 0, false, 0},
+    {"pluto", Scheme::PlutoLike, 1, false, 0, false, 0},
+    {"cats1", Scheme::Cats1, 0, false, 4, false, 0},
+    {"cats2_plain", Scheme::Cats2, 1, false, 0, false, 0},
+    {"cats2_wave", Scheme::Cats2, 0, true, 4, false, 0},
+    {"cats2_tv", Scheme::Cats2, 0, true, 4, true, 0},
+    {"mwd_g2", Scheme::Mwd, 0, true, 4, false, 2},
 };
 
 RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
@@ -64,7 +61,6 @@ RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
   opt.nt_stores = sc.nt_stores;
   opt.prefetch_dist = sc.prefetch_dist;
   opt.temporal_vec = sc.temporal_vec;
-  if (sc.team_size > 0) opt.team_size = sc.team_size;
   if (sc.mwd_group > 0) {
     // Clamp like run() would (largest divisor of the pool) so a THREADS=1
     // matrix leg times the degenerate single-worker MWD, not a warning.
@@ -189,18 +185,11 @@ int main(int argc, char** argv) {
     ratio_line(std::string("const2d_f32/") + config + ": fp32 speedup",
                mlups_of("const2d", config), mlups_of("const2d_f32", config));
   }
-  // The MWD race: shared-diamond groups vs the incumbent sharing scheme —
-  // y-split CATS2 teams in 3D, the plain wave config in 2D (2D has no team
-  // path to race).
+  // The MWD race: shared-diamond groups vs one diamond per thread.
   for (const char* kernel :
        {"const2d", "const2d_f32", "banded2d", "const3d", "banded3d"}) {
-    const double mwd = mlups_of(kernel, "mwd_g2");
     ratio_line(std::string(kernel) + ": MWD over cats2_wave",
-               mlups_of(kernel, "cats2_wave"), mwd);
-    if (std::string(kernel).find("3d") != std::string::npos) {
-      ratio_line(std::string(kernel) + ": MWD over cats2_teams",
-                 mlups_of(kernel, "cats2_teams"), mwd);
-    }
+               mlups_of(kernel, "cats2_wave"), mlups_of(kernel, "mwd_g2"));
   }
   return 0;
 }

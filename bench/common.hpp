@@ -187,8 +187,8 @@ double time_scheme(MakeKernel&& make_kernel, int T, const RunOptions& opt,
     json_log().bump_scalar("wait_events",
                            static_cast<double>(wait_stats.wait_events));
     // Intra-tile share of the wait aggregates above (TeamBarrier crossings,
-    // core/stats.hpp): member imbalance inside MWD groups / CATS teams, as
-    // opposed to tile-to-tile edge waits.
+    // core/stats.hpp): member imbalance inside MWD groups, as opposed to
+    // tile-to-tile edge waits.
     json_log().bump_scalar("team_wait_ns",
                            static_cast<double>(wait_stats.team_wait_ns));
     json_log().bump_scalar("team_wait_events",

@@ -104,8 +104,7 @@ struct RunOptions {
   /// sweep. 0 = auto (fuse up to 4 where legal), 1 = off, 2..4 = fixed.
   /// Values outside [0, 4] are clamped by run() with a one-time stderr
   /// diagnostic (core/selector.hpp sanitize_unroll_t). Bit-exact with the
-  /// unfused walk; auto-disabled under an attached dependence oracle and for
-  /// team-owned tiles.
+  /// unfused walk; auto-disabled under an attached dependence oracle.
   int unroll_t = 0;
 
   /// Temporal vectorization of the fused wavefront chain (src/wave,
@@ -119,12 +118,6 @@ struct RunOptions {
   /// families preserve the identical operation tree, so results are
   /// bit-identical.
   bool temporal_vec = false;
-
-  /// Threads cooperating on one 3D CATS1/CATS2 tile (intra-tile
-  /// parallelization of the orthogonal y dimension). threads/team_size teams
-  /// own tiles exactly as before; members split each slab's rows and meet at
-  /// a team barrier per slab. 1 = off.
-  int team_size = 1;
 
   /// Threads cooperating on one MWD diamond tube (Scheme::Mwd): the domain is
   /// tiled into threads/mwd_group diamond columns sized against the
@@ -164,33 +157,14 @@ struct RunOptions {
 /// MWD group width: `group` clamped to [1, threads] and then reduced to the
 /// largest divisor of `threads` not exceeding it, so threads/g groups of g
 /// members tile the worker pool exactly (no idle remainder workers and no
-/// group straddling the pool boundary). Pure; shared by the selector, plan
-/// emission and the executor so all three always agree on the layout.
+/// group straddling the pool boundary). Pure; the selector applies it once
+/// (SchemeChoice::group), plan emission records the result as
+/// TilePlan::mwd_group, and the executor sizes the worker pool from that.
 inline int mwd_group_width(int group, int threads) {
   const int cap = threads > 0 ? threads : 1;
   int g = group < 1 ? 1 : (group > cap ? cap : group);
   while (g > 1 && cap % g != 0) --g;
   return g;
-}
-
-/// Intra-tile team width m the wave engine uses for a plan of the given
-/// dimensionality and scheme: team_size clamped to [1, threads], honored
-/// only for 3D CATS1/CATS2 (the tiles with a full orthogonal y extent per
-/// slab; everywhere else a slab is a single row and splitting it would
-/// serialize on the team barrier). MWD reuses the same worker-pool shape —
-/// its m is the mwd_group width (2D/3D; a 1D domain dispatches to CATS1
-/// before this matters) — but members pipeline *wavefronts*, not slab rows.
-/// The schemes emit plans with threads/m tile owners and the executor
-/// re-derives m from this same rule, so the emitted plan and the worker
-/// layout always agree.
-inline int wave_team_width(int dims, Scheme scheme, const RunOptions& opt) {
-  if (scheme == Scheme::Mwd) {
-    return dims < 2 ? 1 : mwd_group_width(opt.mwd_group, opt.threads);
-  }
-  if (dims != 3) return 1;
-  if (scheme != Scheme::Cats1 && scheme != Scheme::Cats2) return 1;
-  const int cap = opt.threads > 0 ? opt.threads : 1;
-  return opt.team_size < 1 ? 1 : (opt.team_size > cap ? cap : opt.team_size);
 }
 
 }  // namespace cats

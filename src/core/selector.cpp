@@ -13,6 +13,13 @@
 
 namespace cats {
 
+DomainShape domain_shape(int dims, std::int64_t nx, std::int64_t ny,
+                         std::int64_t nz) {
+  if (dims == 1) return {nx, nx, 0, 1};
+  if (dims == 2) return {nx * ny, ny, nx, 2};
+  return {nx * ny * nz, nz, ny, 3};
+}
+
 double eq2_bz_raw(std::size_t cache_bytes, const DomainShape& d,
                   const KernelCosts& k) {
   const double zd = static_cast<double>(cache_bytes) / k.elem_bytes;
@@ -196,13 +203,10 @@ RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
   else if (e->affinity == "compact") tuned.affinity = AffinityPolicy::Compact;
   else if (e->affinity == "scatter") tuned.affinity = AffinityPolicy::Scatter;
   // Wave-engine knobs (src/wave): advisory like the rest — untuned entries
-  // (pre-wave DBs) keep the caller's values, and team_size is re-clamped by
-  // wave_team_width at execution anyway.
+  // (pre-wave DBs) keep the caller's values.
   if (e->nt_stores >= 0) tuned.nt_stores = e->nt_stores != 0;
   if (e->unroll_t >= 0) tuned.unroll_t = e->unroll_t;
   if (e->temporal_vec >= 0) tuned.temporal_vec = e->temporal_vec != 0;
-  if (e->team_size > 0 && e->team_size <= opt.threads)
-    tuned.team_size = e->team_size;
   if (e->mwd_group > 0 && e->mwd_group <= opt.threads)
     tuned.mwd_group = e->mwd_group;
   if (e->prefetch_dist >= 0) tuned.prefetch_dist = e->prefetch_dist;

@@ -26,6 +26,12 @@ struct DomainShape {
   int dims = 2;
 };
 
+/// Shape of a dims-D box of nx x ny x nz points (extents beyond `dims` are
+/// ignored): traversal along the outermost dimension, tiling along the next.
+/// The one formula behind domain_shape(kernel) and plan emission.
+DomainShape domain_shape(int dims, std::int64_t nx, std::int64_t ny,
+                         std::int64_t nz);
+
 struct KernelCosts {
   int slope = 1;
   double cs_eff = 2.8;     ///< effective CS' (see stencil.hpp effective_cs)

@@ -40,8 +40,8 @@ namespace cats {
 ///   reset). Naive adds one per participant per timestep; CATS2/CATS3 use no
 ///   global barriers inside the sweep.
 /// - `team_wait_events`/`team_wait_spins`/`team_wait_ns`: the TeamBarrier
-///   idle-spin share of the wait_* totals above — intra-tile team/MWD-group
-///   members stalled at a slab or wavefront-window barrier. Team crossings
+///   idle-spin share of the wait_* totals above — MWD group members
+///   stalled at a wavefront-window barrier. Team crossings
 ///   that blocked are counted in BOTH the wait_* aggregates and this
 ///   breakdown, so wait_ns stays the single number to compare against
 ///   runtime and team_wait_ns attributes how much of it is intra-tile

@@ -224,40 +224,9 @@ TilePlan emit_cats2(int dims, std::int64_t nx, std::int64_t ny,
 
 TilePlan emit_mwd(int dims, std::int64_t nx, std::int64_t ny, std::int64_t nz,
                   int T, int slope, std::int64_t bz, int groups, int group) {
-  TilePlan p = plan_shell(dims, nx, ny, nz, T, slope, Scheme::Mwd);
-  p.bz = std::max<std::int64_t>(bz, 2ll * slope);
+  TilePlan p = emit_cats2(dims, nx, ny, nz, T, slope, bz, groups);
+  p.scheme = Scheme::Mwd;
   p.mwd_group = std::max(1, group);
-  p.phases = T > 0 ? 1 : 0;
-  p.phase_sync = PhaseSync::None;
-  p.threads = std::max(1, groups);
-  if (T <= 0) return p;
-
-  // Identical diamond geometry and Done-edge structure to CATS2 with P =
-  // groups owners; the member-level wavefront pipeline is an executor-side
-  // refinement of each tile's serial slab walk (wave/mwd.hpp proves it), so
-  // the tile-granular dependence/deadlock theorems carry over unchanged.
-  const std::int64_t tiled = dims == 2 ? nx : ny;
-  const DiamondTiling dt{slope, p.bz, tiled, 1, T};
-  std::int32_t next_group = 0;
-  emit_diamonds(p, dt, groups,
-                [&](std::int64_t i, std::int64_t j, Range tr,
-                    std::int32_t owner) -> std::pair<std::int32_t, std::int32_t> {
-                  Tile tile;
-                  tile.kind = TileKind::DiamondTube;
-                  tile.owner = owner;
-                  tile.phase = 0;
-                  tile.group = next_group++;
-                  tile.first_in_group = true;
-                  tile.publishes_done = true;
-                  tile.front_hints = true;
-                  tile.t0 = static_cast<int>(tr.lo);
-                  tile.t1 = static_cast<int>(tr.hi);
-                  tile.di = i;
-                  tile.dj = j;
-                  const auto idx = static_cast<std::int32_t>(p.tiles.size());
-                  p.tiles.push_back(tile);
-                  return {idx, idx};
-                });
   return p;
 }
 
@@ -417,61 +386,18 @@ TilePlan emit_pluto(int dims, std::int64_t nx, std::int64_t ny,
   return p;
 }
 
-TilePlan emit_plan(const PlanRequest& rq) {
-  DomainShape d;
-  d.dims = rq.dims;
-  if (rq.dims == 1) {
-    d = {rq.nx, rq.nx, 0, 1};
-  } else if (rq.dims == 2) {
-    d = {rq.nx * rq.ny, rq.ny, rq.nx, 2};
-  } else {
-    d = {rq.nx * rq.ny * rq.nz, rq.nz, rq.ny, 3};
-  }
-  const KernelCosts costs{rq.slope, rq.cs_eff, rq.elem_bytes};
-  const SchemeChoice choice =
-      resolve_dispatch(select_scheme(d, costs, rq.opt, rq.T), rq.dims);
+namespace {
 
-  TilePlan p;
-  switch (choice.scheme) {
-    case Scheme::Naive:
-      p = emit_naive(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope,
-                     rq.opt.threads);
-      break;
-    case Scheme::Cats1:
-      p = emit_cats1(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.tz,
-                     rq.opt.threads);
-      break;
-    case Scheme::Cats2:
-      p = emit_cats2(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
-                     rq.opt.threads);
-      break;
-    case Scheme::Cats3:
-      p = emit_cats3(rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
-                     choice.bx, rq.opt.threads);
-      break;
-    case Scheme::Mwd: {
-      // wave_team_width re-derives the same m at execution, so the emitted
-      // group layout and the worker layout always agree.
-      const int m = std::max(1, choice.group);
-      const int groups =
-          std::max(1, (rq.opt.threads > 0 ? rq.opt.threads : 1) / m);
-      p = emit_mwd(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
-                   groups, m);
-      break;
-    }
-    case Scheme::PlutoLike:
-      p = emit_pluto(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope,
-                     rq.opt.threads);
-      break;
-    case Scheme::Auto:
-      CATS_CHECK(false, "select_scheme never returns Auto");
-      break;
-  }
-
-  apply_cache_model(p, choice.scheme, d, costs, rq.opt);
-  return p;
+KernelCosts request_costs(const PlanRequest& rq) {
+  return {rq.slope, rq.cs_eff, rq.elem_bytes};
 }
 
+/// Fill a freshly emitted plan's cache-model / residency-certification
+/// fields: the partitioned cache share (resolve_cache_bytes already divides
+/// by opt.cache_tenants), the per-point cost model (CS', element bytes), and
+/// per-scheme certify/clamped flags (certified only when the tile parameter
+/// came from Eq. 1/2, `clamped` when the selector floor inflated it past the
+/// cache bound). The certificate is what arms nt_store_eligible.
 void apply_cache_model(TilePlan& p, Scheme scheme, const DomainShape& d,
                        const KernelCosts& costs, const RunOptions& opt) {
   // resolve_cache_bytes already divides Z by opt.cache_tenants (multi-tenant
@@ -510,6 +436,58 @@ void apply_cache_model(TilePlan& p, Scheme scheme, const DomainShape& d,
     default:
       break;
   }
+}
+
+}  // namespace
+
+TilePlan emit_plan(const PlanRequest& rq) {
+  const DomainShape d = domain_shape(rq.dims, rq.nx, rq.ny, rq.nz);
+  return emit_plan(rq, select_scheme(d, request_costs(rq), rq.opt, rq.T));
+}
+
+TilePlan emit_plan(const PlanRequest& rq, const SchemeChoice& selected) {
+  const SchemeChoice choice = resolve_dispatch(selected, rq.dims);
+  TilePlan p;
+  switch (choice.scheme) {
+    case Scheme::Naive:
+      p = emit_naive(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope,
+                     rq.opt.threads);
+      break;
+    case Scheme::Cats1:
+      p = emit_cats1(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.tz,
+                     rq.opt.threads);
+      break;
+    case Scheme::Cats2:
+      p = emit_cats2(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
+                     rq.opt.threads);
+      break;
+    case Scheme::Cats3:
+      p = emit_cats3(rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
+                     choice.bx, rq.opt.threads);
+      break;
+    case Scheme::Mwd: {
+      // The selector's group width m tiles the pool exactly (mwd_group_width),
+      // so threads/m groups of m members use every worker.
+      const int m = std::max(1, choice.group);
+      const int groups =
+          std::max(1, (rq.opt.threads > 0 ? rq.opt.threads : 1) / m);
+      p = emit_mwd(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope, choice.bz,
+                   groups, m);
+      break;
+    }
+    case Scheme::PlutoLike:
+      p = emit_pluto(rq.dims, rq.nx, rq.ny, rq.nz, rq.T, rq.slope,
+                     rq.opt.threads);
+      break;
+    case Scheme::Auto:
+      CATS_CHECK(false, "select_scheme never returns Auto");
+      break;
+  }
+
+  apply_cache_model(p, choice.scheme,
+                    domain_shape(rq.dims, rq.nx, rq.ny, rq.nz),
+                    request_costs(rq), rq.opt);
+  return p;
 }
 
 }  // namespace cats::plan_ir

@@ -5,8 +5,8 @@
 // micro-kernel groups, streaming trailing-slab stores, and issuing the
 // leading-edge prefetch hint — or, with every wave feature resolved off,
 // degenerates to exactly the historical slab-to-rows loop (oracle note_row
-// included). These are the only place plans meet kernels; every scheme
-// entry point is emit + run_plan.
+// included). These are the only place plans meet kernels; run()
+// (core/run.hpp) calls them on the plan emit_plan returns.
 //
 // `Scalar` selects process_row_scalar (the PluTo-like baseline's plain-C
 // path) instead of the hand-vectorized process_row; the baseline also keeps

@@ -20,6 +20,33 @@ std::uint64_t parse_hex64(const std::string& s) {
   return std::strtoull(s.c_str(), nullptr, 16);
 }
 
+// Checked reads of a message's integer fields (tune::JsonValue::get_int):
+// the first field that is present but not an exact integer within its
+// type's range is remembered, and ok() names it in the error instead of
+// letting a truncated or rounded value through. A seed must stay below
+// 2^53 — the double-based parser carries no larger integer exactly.
+class IntFields {
+ public:
+  explicit IntFields(const tune::JsonValue& v) : v_(v) {}
+
+  template <class T>
+  void read(const char* key, T& field) {
+    if (bad_ == nullptr && !v_.get_int(key, field)) bad_ = key;
+  }
+
+  bool ok(std::string* err) const {
+    if (bad_ != nullptr && err != nullptr) {
+      *err = std::string("field '") + bad_ +
+             "' is not an exact integer in range";
+    }
+    return bad_ == nullptr;
+  }
+
+ private:
+  const tune::JsonValue& v_;
+  const char* bad_ = nullptr;
+};
+
 JobStatus parse_status(const std::string& s) {
   if (s == "done") return JobStatus::Done;
   if (s == "rejected") return JobStatus::Rejected;
@@ -110,17 +137,19 @@ bool parse_request(const std::string& line, Request* out, std::string* err) {
     j.tenant = v.get_string("tenant", "default");
     if (j.tenant.empty()) j.tenant = "default";
     j.kernel = v.get_string("kernel", "const2d");
-    j.nx = v.get_int("nx");
-    j.ny = v.get_int("ny");
-    j.nz = v.get_int("nz");
-    j.t_steps = static_cast<int>(v.get_int("t", 1));
-    j.seed = static_cast<std::uint64_t>(v.get_int("seed", 1));
-    j.threads = static_cast<int>(v.get_int("threads"));
-    j.cache_bytes = static_cast<std::size_t>(v.get_int("cache_bytes"));
+    IntFields ints(v);
+    ints.read("nx", j.nx);
+    ints.read("ny", j.ny);
+    ints.read("nz", j.nz);
+    ints.read("t", j.t_steps);
+    ints.read("seed", j.seed);
+    ints.read("threads", j.threads);
+    ints.read("cache_bytes", j.cache_bytes);
+    ints.read("unroll_t", j.unroll_t);
+    ints.read("mwd_group", j.mwd_group);
+    if (!ints.ok(err)) return false;
     if (const tune::JsonValue* nt = v.get("nt_stores"))
       j.nt_stores = nt->kind == tune::JsonValue::Kind::Bool && nt->boolean;
-    j.unroll_t = static_cast<int>(v.get_int("unroll_t"));
-    j.mwd_group = static_cast<int>(v.get_int("mwd_group"));
     if (!parse_scheme(v.get_string("scheme", "auto"), &j.scheme)) {
       if (err != nullptr) *err = "unknown scheme";
       return false;
@@ -214,12 +243,14 @@ bool parse_result(const std::string& line, JobResult* out, std::string* err) {
   r.status = parse_status(v.get_string("status", "failed"));
   r.error = v.get_string("error");
   r.scheme = v.get_string("scheme");
-  r.tz = static_cast<int>(v.get_int("tz"));
-  r.bz = v.get_int("bz");
-  r.bx = v.get_int("bx");
-  r.shards_used = static_cast<int>(v.get_int("shards", 1));
-  r.threads = static_cast<int>(v.get_int("threads"));
-  r.cache_tenants = static_cast<int>(v.get_int("cache_tenants", 1));
+  IntFields ints(v);
+  ints.read("tz", r.tz);
+  ints.read("bz", r.bz);
+  ints.read("bx", r.bx);
+  ints.read("shards", r.shards_used);
+  ints.read("threads", r.threads);
+  ints.read("cache_tenants", r.cache_tenants);
+  if (!ints.ok(err)) return false;
   r.seconds = v.get_number("seconds");
   r.mlups = v.get_number("mlups");
   r.model_dram_bytes = v.get_number("model_dram_bytes");

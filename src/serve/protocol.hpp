@@ -31,7 +31,9 @@ struct Request {
 };
 
 /// Parse one request line. Returns false and sets `err` on malformed JSON,
-/// unknown op/kernel/scheme, or cap violations (validate_job).
+/// unknown op/kernel/scheme, an integer field that is fractional, outside
+/// its type's range or (seed) not below 2^53 — `err` names the field — or
+/// cap violations (validate_job).
 bool parse_request(const std::string& line, Request* out, std::string* err);
 
 /// Encode a request as a single line (no trailing newline).

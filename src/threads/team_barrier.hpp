@@ -1,17 +1,14 @@
 #pragma once
-// Sense-reversing barrier for one intra-tile *team* (wave engine).
-//
-// CATS1/CATS2 3-D tiles can be wide enough in y that one thread per tile
-// leaves the wavefront's cache-resident working set underused. The wave
-// engine (src/wave) splits such a tile's slabs across a small team of m
-// workers; the team crosses this barrier at every slab boundary so that a
-// member never starts slab k+1 before every member has finished slab k —
-// exactly the happens-before the single-threaded slab order provided.
+// Sense-reversing barrier for one intra-tile *team*: the m members of an
+// MWD thread group (wave/mwd.hpp), which share one diamond tube and
+// pipeline its wavefronts. The group crosses this barrier once per
+// wavefront window, so a member never starts window k+1 before every member
+// has finished window k — the ordering the MWD band lemma relies on.
 //
 // Differences from SpinBarrier (threads/barrier.hpp):
-//   * Instantiated per team and crossed once per *slab*, not once per chunk,
-//     so the hot fields are cache-line padded against false sharing between
-//     neighbouring teams in a vector of barriers.
+//   * Instantiated per group and crossed once per *window*, not once per
+//     chunk, so the hot fields are cache-line padded against false sharing
+//     between neighbouring groups in a vector of barriers.
 //   * m == 1 degenerates to a no-op (no atomics, no observer edges): a
 //     one-member team is the classic per-tile executor and needs no intra-
 //     tile ordering beyond program order.

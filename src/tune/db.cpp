@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -59,7 +60,8 @@ bool TuneDb::load(const std::string& path) {
   JsonValue root;
   if (!json_parse(text, root)) return false;
   if (root.kind != JsonValue::Kind::Object) return false;
-  if (root.get_int("version", -1) != kVersion) return false;
+  int version = -1;
+  if (!root.get_int("version", version) || version != kVersion) return false;
   const JsonValue* entries = root.get("entries");
   if (!entries || entries->kind != JsonValue::Kind::Array) return false;
 
@@ -70,27 +72,31 @@ bool TuneDb::load(const std::string& path) {
     r.key.kernel = e.get_string("kernel");
     r.key.scheme_key = e.get_string("scheme_key", "auto");
     r.key.shape = e.get_string("shape");
-    r.key.threads = static_cast<int>(e.get_int("threads", 1));
     r.entry.scheme = e.get_string("scheme");
-    r.entry.tz = static_cast<int>(e.get_int("tz"));
-    r.entry.bz = e.get_int("bz");
-    r.entry.bx = e.get_int("bx");
-    r.entry.run_threads = static_cast<int>(e.get_int("run_threads"));
     r.entry.affinity = e.get_string("affinity");  // absent in pre-affinity DBs
-    // Wave knobs: absent in pre-wave DBs — the defaults mean "keep the
-    // caller's value", so old files stay fully usable.
-    r.entry.nt_stores = static_cast<int>(e.get_int("nt_stores", -1));
-    r.entry.unroll_t = static_cast<int>(e.get_int("unroll_t", -1));
-    r.entry.temporal_vec = static_cast<int>(e.get_int("temporal_vec", -1));
-    r.entry.team_size = static_cast<int>(e.get_int("team_size", 0));
-    r.entry.mwd_group = static_cast<int>(e.get_int("mwd_group", 0));
-    r.entry.prefetch_dist = static_cast<int>(e.get_int("prefetch_dist", -1));
+    // Integer fields are read checked: a fraction, a non-finite number or a
+    // value outside the field's type drops the row instead of truncating.
+    // Absent fields keep the Row defaults; for the wave knobs (absent in
+    // pre-wave DBs) that means "keep the caller's value", so old files stay
+    // fully usable. bz/bx become int overrides (apply_tuning).
+    constexpr long long kIntMax = std::numeric_limits<int>::max();
+    const bool ints_ok = e.get_int("threads", r.key.threads) &&
+                         e.get_int("tz", r.entry.tz) &&
+                         e.get_int("bz", r.entry.bz, 0, kIntMax) &&
+                         e.get_int("bx", r.entry.bx, 0, kIntMax) &&
+                         e.get_int("run_threads", r.entry.run_threads) &&
+                         e.get_int("nt_stores", r.entry.nt_stores) &&
+                         e.get_int("unroll_t", r.entry.unroll_t) &&
+                         e.get_int("temporal_vec", r.entry.temporal_vec) &&
+                         e.get_int("mwd_group", r.entry.mwd_group) &&
+                         e.get_int("prefetch_dist", r.entry.prefetch_dist) &&
+                         e.get_int("cache_bytes", r.entry.cache_bytes);
     r.entry.pilot_seconds = e.get_number("pilot_seconds");
     r.entry.analytic_seconds = e.get_number("analytic_seconds");
-    r.entry.cache_bytes = static_cast<std::size_t>(e.get_int("cache_bytes"));
     r.entry.cs_slack = e.get_number("cs_slack");
-    if (r.key.machine.empty() || r.key.kernel.empty() || r.entry.scheme.empty())
-      continue;  // incomplete rows are ignored, not fatal
+    if (!ints_ok || r.key.machine.empty() || r.key.kernel.empty() ||
+        r.entry.scheme.empty())
+      continue;  // malformed or incomplete rows are ignored, not fatal
     rows_.push_back(std::move(r));
   }
   return true;
@@ -120,7 +126,6 @@ bool TuneDb::save(const std::string& path) const {
        << "\"nt_stores\": " << r.entry.nt_stores << ", "
        << "\"unroll_t\": " << r.entry.unroll_t << ", "
        << "\"temporal_vec\": " << r.entry.temporal_vec << ", "
-       << "\"team_size\": " << r.entry.team_size << ", "
        << "\"mwd_group\": " << r.entry.mwd_group << ", "
        << "\"prefetch_dist\": " << r.entry.prefetch_dist << ", "
        << "\"pilot_seconds\": " << json_number(r.entry.pilot_seconds) << ", "

@@ -40,12 +40,11 @@ struct DbEntry {
   std::int64_t bx = 0;
   int run_threads = 0;     ///< tuned worker count; 0 = keep the caller's
   std::string affinity;    ///< affinity_policy_name(); "" = keep the caller's
-  // Wave-engine knobs (src/wave). Negative (0 for team_size) = not tuned:
+  // Wave-engine knobs (src/wave). Negative (0 for mwd_group) = not tuned:
   // keep the caller's RunOptions value, matching pre-wave DB files.
   int nt_stores = -1;      ///< -1 keep; 0 off; 1 on
   int unroll_t = -1;       ///< -1 keep; else RunOptions::unroll_t
   int temporal_vec = -1;   ///< -1 keep; 0 off; 1 on (RunOptions::temporal_vec)
-  int team_size = 0;       ///< 0 keep; else RunOptions::team_size
   int mwd_group = 0;       ///< 0 keep; else RunOptions::mwd_group
   int prefetch_dist = -1;  ///< -1 keep; else RunOptions::prefetch_dist
   double pilot_seconds = 0.0;     ///< best pilot time

@@ -24,9 +24,18 @@ double JsonValue::get_number(std::string_view key, double dflt) const {
   return v && v->kind == Kind::Number ? v->number : dflt;
 }
 
-long long JsonValue::get_int(std::string_view key, long long dflt) const {
-  const JsonValue* v = get(key);
-  return v && v->kind == Kind::Number ? static_cast<long long>(v->number) : dflt;
+bool JsonValue::exact_int(long long lo, long long hi, long long& out) const {
+  if (kind != Kind::Number) return false;
+  // Written so NaN fails every comparison; the magnitude bound also keeps
+  // the conversion below defined.
+  if (!(std::fabs(number) <= static_cast<double>(kJsonExactInt)) ||
+      number != std::trunc(number)) {
+    return false;
+  }
+  const auto x = static_cast<long long>(number);
+  if (x < lo || x > hi) return false;
+  out = x;
+  return true;
 }
 
 namespace {

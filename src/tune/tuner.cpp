@@ -16,8 +16,8 @@ void push_unique(std::vector<Candidate>& out, const Candidate& c) {
     if (e.scheme == c.scheme && e.tz == c.tz && e.bz == c.bz &&
         e.bx == c.bx && e.affinity == c.affinity &&
         e.nt_stores == c.nt_stores && e.unroll_t == c.unroll_t &&
-        e.temporal_vec == c.temporal_vec && e.team_size == c.team_size &&
-        e.mwd_group == c.mwd_group && e.prefetch_dist == c.prefetch_dist)
+        e.temporal_vec == c.temporal_vec && e.mwd_group == c.mwd_group &&
+        e.prefetch_dist == c.prefetch_dist)
       return;
   }
   out.push_back(c);
@@ -102,7 +102,6 @@ RunOptions options_for_candidate(const RunOptions& base, const Candidate& c) {
   if (c.nt_stores >= 0) o.nt_stores = c.nt_stores != 0;
   if (c.unroll_t >= 0) o.unroll_t = c.unroll_t;
   if (c.temporal_vec >= 0) o.temporal_vec = c.temporal_vec != 0;
-  if (c.team_size > 0) o.team_size = c.team_size;
   if (c.mwd_group > 0) o.mwd_group = c.mwd_group;
   if (c.prefetch_dist >= 0) o.prefetch_dist = c.prefetch_dist;
   return o;

@@ -32,14 +32,14 @@ struct TuneConfig {
   bool tune_threads = true;      ///< re-time the winner at threads/2
   bool tune_affinity = true;     ///< re-time the winner under each pin policy
   bool tune_wave = true;         ///< re-time the winner along the wave axes
-                                 ///< (nt_stores / unroll_t / team_size /
+                                 ///< (nt_stores / unroll_t / temporal_vec /
                                  ///< mwd_group / prefetch_dist, src/wave)
 };
 
 /// One point of the search grid. `threads` 0 = the caller's thread count;
 /// `affinity` -1 = the caller's policy, else an AffinityPolicy value. The
 /// wave-engine axes follow the same convention: negative (or 0 for
-/// team_size) = keep the caller's RunOptions value.
+/// mwd_group) = keep the caller's RunOptions value.
 struct Candidate {
   Scheme scheme = Scheme::Auto;
   int tz = 0;
@@ -50,7 +50,6 @@ struct Candidate {
   int nt_stores = -1;      ///< -1 caller's; 0 off; 1 on
   int unroll_t = -1;       ///< -1 caller's; else RunOptions::unroll_t
   int temporal_vec = -1;   ///< -1 caller's; 0 off; 1 on
-  int team_size = 0;       ///< 0 caller's; else RunOptions::team_size
   int mwd_group = 0;       ///< 0 caller's; else RunOptions::mwd_group
   int prefetch_dist = -1;  ///< -1 caller's; else RunOptions::prefetch_dist
 };
@@ -167,10 +166,10 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
 
     // Wave-engine axes (src/wave): re-time the winner with each knob moved
     // off its base value, one at a time — the axes are near-independent
-    // (NT stores trade RFO traffic, temporal unroll trades loads, teams
-    // trade tile-width parallelism), so a coordinate sweep recovers most of
-    // the joint optimum at a fraction of the grid cost. Each probe sticks
-    // only if it wins.
+    // (NT stores trade RFO traffic, temporal unroll trades loads, MWD groups
+    // trade tube parallelism for pooled cache), so a coordinate sweep
+    // recovers most of the joint optimum at a fraction of the grid cost.
+    // Each probe sticks only if it wins.
     if (cfg.tune_wave && budget.seconds() <= cfg.budget_seconds) {
       auto probe = [&](Candidate c) {
         if (budget.seconds() > cfg.budget_seconds) return;
@@ -199,19 +198,11 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
         c.temporal_vec = base.temporal_vec ? 0 : 1;
         probe(c);
       }
-      if (d.dims == 3 && opt.threads > 1) {
-        for (int ts : {2, 4}) {
-          if (ts > opt.threads || ts == base.team_size) continue;
-          Candidate c = res.best;
-          c.team_size = ts;
-          probe(c);
-        }
-      }
       // MWD group-width axis: pooling g threads on one diamond trades tube
-      // parallelism for sqrt(g) wider diamonds (core/mwd.hpp). Only widths
-      // that tile the worker pool are legal (mwd_group_width), and the knob
-      // only matters when the candidate runs Scheme::Mwd — so probe it on
-      // an explicit MWD switch of the winner.
+      // parallelism for sqrt(g) wider diamonds (plan/emit.hpp emit_mwd).
+      // Only widths that tile the worker pool are legal (mwd_group_width),
+      // and the knob only matters when the candidate runs Scheme::Mwd — so
+      // probe it on an explicit MWD switch of the winner.
       if (d.dims >= 2 && opt.threads > 1) {
         for (int gw : {2, 4}) {
           if (gw > opt.threads || opt.threads % gw != 0) continue;
@@ -251,7 +242,6 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
   res.entry.nt_stores = res.best.nt_stores;
   res.entry.unroll_t = res.best.unroll_t;
   res.entry.temporal_vec = res.best.temporal_vec;
-  res.entry.team_size = res.best.team_size;
   res.entry.mwd_group = res.best.mwd_group;
   res.entry.prefetch_dist = res.best.prefetch_dist;
   res.entry.pilot_seconds = res.best_seconds;

@@ -18,9 +18,11 @@
 //
 // Fusion is resolved off when it cannot be proven equivalent or observed
 // soundly: under an attached dependence oracle (note_row would stamp whole
-// rows out of the oracle's expected order), for team-split tiles (members
-// see partial slabs), for kernels not opting in (wave/microkernel.hpp), and
-// for the scalar baseline path (measured as plain C on purpose).
+// rows out of the oracle's expected order), for kernels not opting in
+// (wave/microkernel.hpp), and for the scalar baseline path (measured as
+// plain C on purpose). MWD group members still fuse: they receive
+// *full-width* wavefront slabs (whole chain links, wave/mwd.hpp), so the
+// stagger proof applies unchanged.
 //
 // NT stores apply only to *trailing* slabs (Slab::trailing: the tile's top
 // timestep in a wavefront scheme) of NT-eligible plans
@@ -55,18 +57,10 @@ inline int clamp_unroll(int u) {
   return u < 1 ? 1 : (u > kMaxUnroll ? kMaxUnroll : u);
 }
 
-/// Shared gate for both walkers: fusion needs no oracle attached, no
-/// explicit off switch, and a one-member team (members see y-partial slabs
-/// whose chain links would not cover the stagger proof's full rows). MWD
-/// groups are exempt from the team-width bail: members receive *full-width*
-/// wavefront slabs (whole chain links, wave/mwd.hpp), so the stagger proof
-/// applies unchanged.
-inline int resolve_unroll(const plan_ir::TilePlan& p, const RunOptions& opt) {
+/// Shared gate for both walkers: fusion needs no oracle attached and no
+/// explicit off switch.
+inline int resolve_unroll(const RunOptions& opt) {
   if (opt.oracle != nullptr || opt.unroll_t == 1) return 1;
-  if (p.scheme != Scheme::Mwd &&
-      wave_team_width(p.dims, p.scheme, opt) != 1) {
-    return 1;
-  }
   return clamp_unroll(opt.unroll_t == 0 ? kMaxUnroll : opt.unroll_t);
 }
 
@@ -83,7 +77,7 @@ class WaveWalker2D {
         nt_ = opt.nt_stores && plan_ir::nt_store_eligible(p);
       }
       if constexpr (kernel_has_process_stages<K>) {
-        unroll_ = detail::resolve_unroll(p, opt);
+        unroll_ = detail::resolve_unroll(opt);
       }
       if constexpr (kernel_has_process_stages_tv<K>) {
         tv_ = opt.temporal_vec;
@@ -203,7 +197,7 @@ class WaveWalker3D {
         nt_ = opt.nt_stores && plan_ir::nt_store_eligible(p);
       }
       if constexpr (wave_fusable_v<K>) {
-        unroll_ = detail::resolve_unroll(p, opt);
+        unroll_ = detail::resolve_unroll(opt);
       }
       if constexpr (kernel_has_row_tv_3d<K>) {
         tv_ = opt.temporal_vec;

@@ -5,8 +5,8 @@
 // whose owners are thread *groups*: the diamond is sized against the pooled
 // cache Z*m, and the m members of a group cooperate on each tube. This
 // header is the cooperation schedule — a refinement of the tile's serial
-// slab walk that the plan executor runs when wave_team_width() resolves
-// m > 1 for a Scheme::Mwd plan (plan/execute.hpp).
+// slab walk that the plan executor runs when the plan's group width
+// TilePlan::mwd_group is m > 1 (plan/execute.hpp).
 //
 // Schedule. Each tube's timestep range [t0, t1] is cut into m contiguous
 // *bands*, one per member, balanced by diamond cross-section area (the

@@ -1,12 +1,13 @@
 // MWD (multicore wavefront-diamond) integration and verifier tests.
 //
 // Positive: MWD reproduces the serial reference bit-exactly across kernel
-// families, group widths, unroll factors, NT stores and temporal
-// vectorization; a full run under the dependence oracle is clean with every
-// point checked exactly once; every emitted MWD plan verifies clean at the
-// pooled group budget. Negative: severing one wavefront Done edge from an
-// MWD plan yields the exact DepUncovered pair, and an oversized shared
-// diamond yields the residency diagnostics with the pooled Z*g limit.
+// families, group widths, unroll factors, NT stores (2D and 3D) and
+// temporal vectorization; a full run under the dependence oracle is clean
+// with every point checked exactly once; every emitted MWD plan verifies
+// clean at the pooled group budget. Negative: severing one wavefront Done
+// edge from an MWD plan yields the exact DepUncovered pair, and an
+// oversized shared diamond yields the residency diagnostics with the pooled
+// Z*g limit.
 
 #include <gtest/gtest.h>
 
@@ -224,12 +225,23 @@ TEST(Mwd, Banded3D) {
   std::vector<double> want;
   ref.copy_result_to(want, 8);
 
-  Banded3D<1> k(16, 12, 20);
-  make(k);
-  run(k, 8, mwd_options(4, 2, 32 * 1024));
-  std::vector<double> got;
-  k.copy_result_to(got, 8);
-  expect_bit_equal(got, want, "banded3d");
+  for (bool nt : {false, true}) {
+    // NT on: every member fences its own trailing stores before the group's
+    // final barrier and the lead's publish (wave/mwd.hpp).
+    RunOptions opt = mwd_options(4, 2, 32 * 1024);
+    opt.nt_stores = nt;
+    Banded3D<1> k(16, 12, 20);
+    make(k);
+    if (nt) {
+      // Not vacuous: the plan run() executes arms the streaming stores.
+      EXPECT_TRUE(plan_ir::nt_store_eligible(
+          plan_ir::emit_plan(plan_request(k, 8, opt))));
+    }
+    run(k, 8, opt);
+    std::vector<double> got;
+    k.copy_result_to(got, 8);
+    expect_bit_equal(got, want, nt ? "banded3d nt" : "banded3d");
+  }
 }
 
 // ---------------------------------------------------------------------------

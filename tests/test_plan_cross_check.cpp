@@ -8,15 +8,26 @@
 // prediction. The oracle only believes *recorded* happens-before edges
 // (never timing), and its one approximation (progress publishes credited
 // early) can only suppress violations, so containment is structural.
+//
+// The last sweep ties run() to emit_plan: for every scheme, run() must
+// execute exactly the tiles emit_plan emits for the same request, with
+// bit-exact results.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "check/oracle.hpp"
 #include "core/options.hpp"
+#include "core/reference.hpp"
+#include "core/run.hpp"
+#include "core/stats.hpp"
+#include "helpers.hpp"
+#include "kernels/const2d.hpp"
+#include "kernels/const3d.hpp"
 #include "plan/emit.hpp"
 #include "plan/kernel_walk.hpp"
 #include "plan/verify.hpp"
@@ -89,7 +100,65 @@ DepWitness map_violation(const cats::check::Violation& v) {
   }
 }
 
+/// Run every scheme (and Auto) through run() at threads = 3 and both cache
+/// tenancies: the tiles it reports processed must be the first_in_group
+/// tiles of emit_plan for the same request, and the result bit-exact.
+template <class MakeKernel>
+void expect_run_executes_emit_plan(MakeKernel&& make, int T,
+                                   const char* label) {
+  auto ref = make();
+  cats::run_reference(ref, T);
+  std::vector<double> want;
+  ref.copy_result_to(want, T);
+
+  using cats::Scheme;
+  for (Scheme s : {Scheme::Auto, Scheme::Naive, Scheme::Cats1, Scheme::Cats2,
+                   Scheme::Cats3, Scheme::Mwd, Scheme::PlutoLike}) {
+    for (int tenants : {1, 2}) {
+      cats::RunOptions opt;
+      opt.scheme = s;
+      opt.threads = 3;
+      opt.cache_bytes = 32 * 1024;
+      opt.cache_tenants = tenants;
+      if (s == Scheme::Mwd) opt.mwd_group = 3;  // one group of three
+      const std::string what = std::string(label) + " " +
+                               cats::scheme_name(s) +
+                               " tenants=" + std::to_string(tenants);
+      auto k = make();
+      const TilePlan p =
+          cats::plan_ir::emit_plan(cats::plan_request(k, T, opt));
+      std::int64_t groups = 0;
+      for (const cats::plan_ir::Tile& t : p.tiles) groups += t.first_in_group;
+
+      cats::RunStats st;
+      opt.stats = &st;
+      cats::run(k, T, opt);
+      EXPECT_EQ(st.tiles_processed.load(), groups) << what;
+      std::vector<double> got;
+      k.copy_result_to(got, T);
+      cats::test::expect_bit_equal(got, want, what.c_str());
+    }
+  }
+}
+
 }  // namespace
+
+TEST(PlanCrossCheck, RunExecutesEmitPlanForEveryScheme) {
+  expect_run_executes_emit_plan(
+      [] {
+        cats::ConstStar2D<1> k(61, 47, cats::default_star2d_weights<1>());
+        k.init(cats::test::init2d, 0.25);
+        return k;
+      },
+      13, "2d");
+  expect_run_executes_emit_plan(
+      [] {
+        cats::ConstStar3D<1> k(19, 15, 23, cats::default_star3d_weights<1>());
+        k.init(cats::test::init3d, 0.25);
+        return k;
+      },
+      9, "3d");
+}
 
 TEST(PlanCrossCheck, StaticallyCleanPlanRunsOracleClean) {
   const int W = 48, H = 36, T = 6, threads = 2;

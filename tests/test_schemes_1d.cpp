@@ -83,11 +83,27 @@ TEST(Schemes1D, AutoAlwaysPicksCats1) {
 }
 
 TEST(Schemes1D, Cats2RequestFallsBackToCats1) {
-  RunOptions opt;
-  opt.scheme = Scheme::Cats2;
-  opt.threads = 2;
-  expect_bit_equal(scheme_1d<1>(300, 15, opt), reference_1d<1>(300, 15),
-                   "cats2-on-1d");
+  // CATS2, CATS3 and MWD need a second dimension: run() executes the CATS1
+  // wavefront, yet returns the selector's unresolved choice, as plan() does.
+  for (Scheme s : {Scheme::Cats2, Scheme::Cats3, Scheme::Mwd}) {
+    RunOptions opt;
+    opt.scheme = s;
+    opt.threads = 2;
+    ConstStar1D<1> k(300, weights_1d<1>());
+    k.init([](int x) { return cats::test::init2d(x, 3); }, 0.5);
+    const SchemeChoice want = plan(k, 15, opt);
+    const SchemeChoice got = run(k, 15, opt);
+    EXPECT_EQ(got.scheme, want.scheme) << scheme_name(s);
+    EXPECT_NE(got.scheme, Scheme::Cats1) << scheme_name(s);
+    EXPECT_EQ(got.tz, want.tz) << scheme_name(s);
+    EXPECT_EQ(got.bz, want.bz) << scheme_name(s);
+    EXPECT_EQ(got.bx, want.bx) << scheme_name(s);
+    EXPECT_EQ(got.group, want.group) << scheme_name(s);
+    EXPECT_EQ(resolve_dispatch(got, 1).scheme, Scheme::Cats1);
+    std::vector<double> out;
+    k.copy_result_to(out, 15);
+    expect_bit_equal(out, reference_1d<1>(300, 15), scheme_name(s));
+  }
 }
 
 TEST(Schemes1D, DegenerateSizes) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/selector.hpp"
@@ -89,6 +90,11 @@ TEST(ServeProtocol, SubmitRoundTrip) {
   EXPECT_EQ(back.job.scheme, Scheme::Cats2);
   EXPECT_TRUE(back.job.nt_stores);
   EXPECT_EQ(back.job.split, JobRequest::Split::Force);
+
+  // The largest seed the double-based wire parser carries exactly.
+  rq.job.seed = (std::uint64_t{1} << 53) - 1;
+  ASSERT_TRUE(parse_request(encode_request(rq), &back, &err)) << err;
+  EXPECT_EQ(back.job.seed, (std::uint64_t{1} << 53) - 1);
 }
 
 TEST(ServeProtocol, ResultRoundTrip) {
@@ -129,6 +135,28 @@ TEST(ServeProtocol, RejectsMalformedAndOversized) {
       R"({"op":"submit","kernel":"const3d","nx":8192,"ny":8192,"nz":8192})",
       &rq, &err));
   EXPECT_NE(err.find("cap"), std::string::npos);
+
+  // Integer fields that a cast would truncate, wrap or round are refused,
+  // and the error names the field.
+  const std::pair<const char*, const char*> bad_ints[] = {
+      {"t", R"("t":4294967297)"},
+      {"threads", R"("threads":4294967300)"},
+      {"mwd_group", R"("mwd_group":4294967298)"},
+      {"cache_bytes", R"("cache_bytes":-1)"},
+      {"nx", R"("nx":64.9)"},
+      {"seed", R"("seed":9007199254740993)"},
+      {"nx", R"("nx":1e300)"},
+  };
+  for (const auto& [field, member] : bad_ints) {
+    std::string line = R"({"op":"submit","kernel":"const2d","ny":64,)";
+    if (std::string(field) != "nx") line += R"("nx":64,)";
+    line += member;
+    line += "}";
+    err.clear();
+    EXPECT_FALSE(parse_request(line, &rq, &err)) << line;
+    EXPECT_NE(err.find(std::string("'") + field + "'"), std::string::npos)
+        << line << ": " << err;
+  }
 }
 
 // --- Fair-share queue -------------------------------------------------------

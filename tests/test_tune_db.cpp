@@ -159,17 +159,54 @@ TEST(TuneDb, TruncatedFileIsIgnoredGracefully) {
 
 TEST(TuneDb, IncompleteRowsAreSkippedNotFatal) {
   const std::string path = temp_path("partial.json");
+  // The last row is in the format earlier versions saved, including the
+  // field of the deleted y-split teams, which this version no longer reads;
+  // it keys on this machine so apply_tuning can show that its other fields
+  // still apply. The two rows
+  // before it carry integers that would not survive a cast (a fraction, a
+  // value beyond int) and are dropped whole.
+  const DomainShape d{1 << 18, 1 << 6, 1 << 6, 3};
   write_file(path, R"({"version": 1, "entries": [
     {"kernel": "x"},
     17,
     {"machine": "m", "kernel": "const2d/s1", "scheme_key": "auto",
-     "shape": "d2/n^20/w^10", "threads": 2, "scheme": "CATS2", "bz": 42}
+     "shape": "d2/n^20/w^10", "threads": 2, "scheme": "CATS2", "bz": 42},
+    {"machine": "m", "kernel": "const2d/s1", "scheme_key": "auto",
+     "shape": "d2/n^20/w^10", "threads": 3, "scheme": "CATS1", "tz": 1.5},
+    {"machine": "m", "kernel": "const2d/s1", "scheme_key": "auto",
+     "shape": "d2/n^20/w^10", "threads": 4, "scheme": "CATS2",
+     "bz": 4294967338},
+    {"machine": )" + json_quote(bench::machine_fingerprint()) + R"(,
+     "kernel": "const3d/s1", "scheme_key": "auto",
+     "shape": )" + json_quote(shape_bucket(d)) + R"(, "threads": 4,
+     "scheme": "CATS2", "tz": 0, "bz": 24, "bx": 0, "run_threads": 2,
+     "affinity": "compact", "nt_stores": 1, "unroll_t": 2,
+     "temporal_vec": 1, "team_size": 2, "mwd_group": 0,
+     "prefetch_dist": 8, "pilot_seconds": 0.5, "analytic_seconds": 0.75,
+     "cache_bytes": 1048576, "cs_slack": 0.8}
   ]})");
   TuneDb db;
   EXPECT_TRUE(db.load(path));
-  EXPECT_EQ(db.size(), 1u);
+  EXPECT_EQ(db.size(), 2u);
   EXPECT_NE(db.find(sample_key("m")), nullptr);
+
+  invalidate_cache();
+  RunOptions opt;
+  opt.threads = 4;
+  opt.tuning = Tuning::UseDb;
+  opt.tuning_db_path = path.c_str();
+  const RunOptions tuned = apply_tuning(opt, "const3d/s1", d);
+  EXPECT_EQ(tuned.scheme, Scheme::Cats2);
+  EXPECT_EQ(tuned.bz_override, 24);
+  EXPECT_EQ(tuned.threads, 2);
+  EXPECT_EQ(tuned.affinity, AffinityPolicy::Compact);
+  EXPECT_TRUE(tuned.nt_stores);
+  EXPECT_EQ(tuned.unroll_t, 2);
+  EXPECT_TRUE(tuned.temporal_vec);
+  EXPECT_EQ(tuned.mwd_group, 1);
+  EXPECT_EQ(tuned.prefetch_dist, 8);
   std::remove(path.c_str());
+  invalidate_cache();
 }
 
 TEST(TuneDb, MissingFileLoadsEmpty) {

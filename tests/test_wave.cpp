@@ -1,15 +1,13 @@
-// Wave-engine tests (src/wave): the register-tiled temporal micro-kernels,
-// the NT-store write-back path and the intra-tile teams are all pure
-// execution-order changes, so every configuration must reproduce the
-// unroll_t=1 / plain-store / team-of-one result bit for bit — the same
-// per-lane arithmetic runs either way, only the schedule differs.
+// Wave-engine tests (src/wave): the register-tiled temporal micro-kernels
+// and the NT-store write-back path are pure execution-order changes, so
+// every configuration must reproduce the unroll_t=1 / plain-store result
+// bit for bit — the same per-lane arithmetic runs either way, only the
+// schedule differs.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "check/oracle.hpp"
-#include "check/probe_kernel.hpp"
 #include "core/run.hpp"
 #include "helpers.hpp"
 #include "kernels/banded2d.hpp"
@@ -24,7 +22,7 @@ using cats::test::expect_bit_equal;
 namespace {
 
 // Small cache + overrides force multi-chunk/multi-tile plans on tiny
-// domains, so trailing wavefronts, chunk seams and team splits all occur.
+// domains, so trailing wavefronts and chunk seams all occur.
 RunOptions wave_options(Scheme s, int threads = 2) {
   RunOptions opt;
   opt.scheme = s;
@@ -42,12 +40,11 @@ std::vector<double> run_dump(MakeKernel&& make, int T, const RunOptions& opt) {
   return out;
 }
 
-// Reference = wave features off: no fusion, plain stores, no teams.
+// Reference = wave features off: no fusion, plain stores.
 RunOptions plain_options(Scheme s, int threads = 2) {
   RunOptions opt = wave_options(s, threads);
   opt.unroll_t = 1;
   opt.nt_stores = false;
-  opt.team_size = 1;
   return opt;
 }
 
@@ -195,76 +192,4 @@ TEST(WaveNt, NaiveSchemeIgnoresNt) {
   RunOptions opt = plain_options(Scheme::Naive);
   opt.nt_stores = true;
   expect_bit_equal(run_dump(make, 10, opt), want, "naive nt");
-}
-
-// ---------------------------------------------------------------------------
-// Intra-tile teams: deterministic, bit-equal to team-of-one, oracle-clean
-// ---------------------------------------------------------------------------
-
-TEST(WaveTeam, Const3DTeamsBitEqualAndRepeatable) {
-  auto make = [] {
-    ConstStar3D<1> k(23, 19, 17, default_star3d_weights<1>());
-    k.init(cats::test::init3d, -0.1);
-    return k;
-  };
-  for (Scheme s : {Scheme::Cats1, Scheme::Cats2}) {
-    const std::vector<double> want = run_dump(make, 9, plain_options(s, 4));
-    for (int rep = 0; rep < 4; ++rep) {
-      RunOptions opt = wave_options(s, 4);
-      opt.team_size = 2;
-      expect_bit_equal(run_dump(make, 9, opt), want,
-                       (std::string("team ") + scheme_name(s)).c_str());
-    }
-  }
-}
-
-TEST(WaveTeam, Banded3DTeamsWithNt) {
-  // Teams + NT stores together: member stores are fenced before the lead's
-  // publish, so the composition must still be bit-exact.
-  auto make = [] {
-    Banded3D<1> k(21, 17, 15);
-    k.init(cats::test::init3d, 0.05);
-    k.init_bands(cats::test::band_coeff3);
-    return k;
-  };
-  const std::vector<double> want = run_dump(make, 8, plain_options(Scheme::Cats2, 4));
-  RunOptions opt = wave_options(Scheme::Cats2, 4);
-  opt.team_size = 2;
-  opt.nt_stores = true;
-  expect_bit_equal(run_dump(make, 8, opt), want, "team+nt banded3d");
-}
-
-TEST(WaveTeam, TeamWidthIgnoredOutsideCats3D) {
-  // team_size must be inert for 2D domains and for non-wavefront schemes.
-  auto make = [] {
-    ConstStar2D<1> k(64, 48, default_star2d_weights<1>());
-    k.init(cats::test::init2d);
-    return k;
-  };
-  for (Scheme s : {Scheme::Naive, Scheme::Cats2}) {
-    const std::vector<double> want = run_dump(make, 10, plain_options(s, 4));
-    RunOptions opt = wave_options(s, 4);
-    opt.team_size = 4;
-    expect_bit_equal(run_dump(make, 10, opt), want,
-                     (std::string("2d team ") + scheme_name(s)).c_str());
-  }
-}
-
-TEST(WaveTeam, OracleCleanOverTeamSchedule) {
-  // Every (t, point) must still be computed exactly once, after its
-  // neighbors, under the team split of slab rows.
-  for (Scheme s : {Scheme::Cats1, Scheme::Cats2}) {
-    const int W = 17, H = 13, D = 11, T = 7;
-    check::ProbeKernel3D k(W, H, D, 1);
-    check::DepOracle oracle(W, H, D, k.slope(), 4);
-    RunOptions opt = wave_options(s, 4);
-    opt.team_size = 2;
-    opt.tz_override = 3;
-    opt.bz_override = 6;
-    opt.bx_override = 6;
-    opt.oracle = &oracle;
-    run(k, T, opt);
-    oracle.check_complete(T);
-    EXPECT_TRUE(oracle.ok()) << "team oracle " << scheme_name(s);
-  }
 }
