@@ -389,11 +389,17 @@ ExecStatus run_one_execution(Sim& sim, const Scenario& sc) {
   sim.cex_reason.clear();
   sim.depth = 0;
   sim.asleep.assign((std::size_t)sim.n, 0);
+  {
+    // The handoff fields are read by idle workers' wait predicates.
+    std::lock_guard<std::mutex> lk(sim.m);
+    for (ThreadSlot& s : sim.slots) {
+      s.phase = Phase::Idle;
+      s.start = false;
+      s.abort = false;
+      s.pending = PendingOp{};
+    }
+  }
   for (ThreadSlot& s : sim.slots) {
-    s.phase = Phase::Idle;
-    s.start = false;
-    s.abort = false;
-    s.pending = PendingOp{};
     s.clock.assign((std::size_t)sim.n + 1, 0);
     s.last_idx.clear();
     s.reads_since.clear();
@@ -413,13 +419,18 @@ ExecStatus run_one_execution(Sim& sim, const Scenario& sc) {
              (int)sim.bodies.size(), sim.n);
   for (ThreadSlot& s : sim.slots) s.clock = sim.setup.clock;
 
-  {
-    std::lock_guard<std::mutex> lk(sim.m);
-    for (ThreadSlot& s : sim.slots) {
+  // Release the threads one at a time: a body may begin with plain data
+  // accesses (traced, recorded in sim.data) before its first atomic op, so
+  // each prelude must run alone to keep the strict handoff. Race verdicts
+  // come from vector clocks, so the release order does not change them.
+  for (ThreadSlot& s : sim.slots) {
+    {
+      std::lock_guard<std::mutex> lk(sim.m);
       s.start = true;
       s.phase = Phase::Running;
+      sim.cv.notify_all();
     }
-    sim.cv.notify_all();
+    wait_quiescent(sim);
   }
 
   for (;;) {

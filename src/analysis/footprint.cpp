@@ -24,8 +24,9 @@
 namespace cats {
 namespace analysis {
 
+// constinit to match the declaration in analysis/record.hpp.
 // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-thread_local AccessHook g_access_hook;
+constinit thread_local AccessHook g_access_hook;
 
 namespace {
 

@@ -43,8 +43,12 @@ struct AccessHook {
   void* ctx = nullptr;
   void (*fn)(void* ctx, const void* p, int bytes, AccessKind k) = nullptr;
 };
+// constinit: the hook is statically initialized, so no TLS init function
+// exists to be called (or tested for) on each access. With a plain extern
+// thread_local, GCC 12 under UBSan branches on the flags of the weak
+// init-symbol test and reports a null AccessHook access that never happens.
 // NOLINTNEXTLINE(cppcoreguidelines-avoid-non-const-global-variables)
-extern thread_local AccessHook g_access_hook;
+extern constinit thread_local AccessHook g_access_hook;
 
 inline void record_access(const void* p, int bytes, AccessKind k) {
   if (g_access_hook.fn != nullptr) g_access_hook.fn(g_access_hook.ctx, p, bytes, k);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <new>
 
 #include "cachesim/traffic_model.hpp"
@@ -10,6 +9,7 @@
 #include "kernels/const2d.hpp"
 #include "kernels/const2d_f32.hpp"
 #include "kernels/const3d.hpp"
+#include "serve/checksum.hpp"
 #include "serve/protocol.hpp"
 
 namespace cats::serve {
@@ -70,29 +70,16 @@ JobResult run_kernel(K& k, const JobRequest& rq, const RunOptions& opt,
       model_bytes_for(exec, n, wmax, rq.t_steps, opt.threads, opt.nt_stores,
                       kernel_element_bytes(k));
 
-  std::vector<double> grid;
-  k.copy_result_to(grid, rq.t_steps);
-  r.checksum = fnv1a(grid);
-  r.sample = grid[grid.size() / 2];
-  if (out_grid != nullptr) *out_grid = std::move(grid);
+  GridDigest dig(n, out_grid);
+  digest_rows(k.grid_at(rq.t_steps), 0,
+              static_cast<int>(job_is_3d(rq) ? rq.nz : rq.ny), dig);
+  r.checksum = dig.checksum();
+  r.sample = dig.sample();
   r.status = JobStatus::Done;
   return r;
 }
 
 }  // namespace
-
-std::uint64_t fnv1a(const std::vector<double>& v) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const double d : v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
 
 double model_bytes_for(const SchemeChoice& choice, std::int64_t n,
                        std::int64_t wmax, int t_steps, int tiles,

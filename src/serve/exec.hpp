@@ -18,6 +18,7 @@
 
 #include "core/selector.hpp"
 #include "core/stats.hpp"
+#include "serve/checksum.hpp"
 #include "serve/job.hpp"
 
 namespace cats::serve {
@@ -49,9 +50,6 @@ inline double init_value(std::uint64_t seed, std::int64_t x, std::int64_t y,
   h ^= h >> 31;
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-/// FNV-1a 64 over the raw bytes of a double vector (bit-exactness hash).
-std::uint64_t fnv1a(const std::vector<double>& v);
 
 /// RunOptions a job resolves to under `env` (threads clamp, pinning, tenant
 /// cache share, tuning DB). Shared with the split executor (serve/halo.hpp)

@@ -14,6 +14,7 @@
 #include "kernels/const2d.hpp"
 #include "kernels/const2d_f32.hpp"
 #include "kernels/const3d.hpp"
+#include "serve/checksum.hpp"
 
 namespace cats::serve {
 
@@ -54,13 +55,6 @@ struct Split2D {
                 (static_cast<std::size_t>(dst.width()) + 2 * kGhost) *
                     sizeof(double));
   }
-  static void gather(const Kernel& k, int t, std::int64_t lo,
-                     std::int64_t n, std::vector<double>& out) {
-    const Grid2D<double>& g = k.grid_at(t);
-    for (std::int64_t y = lo; y < lo + n; ++y)
-      for (int x = 0; x < k.width(); ++x)
-        out.push_back(g.at(x, static_cast<int>(y)));
-  }
   static std::int64_t slice_points(const JobRequest& rq) { return rq.nx; }
 };
 
@@ -90,13 +84,6 @@ struct Split2DF32 {
                 s.row(static_cast<int>(sy)) - kGhost,
                 (static_cast<std::size_t>(dst.width()) + 2 * kGhost) *
                     sizeof(float));
-  }
-  static void gather(const Kernel& k, int t, std::int64_t lo,
-                     std::int64_t n, std::vector<double>& out) {
-    const Grid2D<float>& g = k.grid_at(t);
-    for (std::int64_t y = lo; y < lo + n; ++y)
-      for (int x = 0; x < k.width(); ++x)
-        out.push_back(static_cast<double>(g.at(x, static_cast<int>(y))));
   }
   static std::int64_t slice_points(const JobRequest& rq) { return rq.nx; }
 };
@@ -129,14 +116,6 @@ struct Split3D {
       std::memcpy(d.row(y, static_cast<int>(dz)) - kGhost,
                   s.row(y, static_cast<int>(sz)) - kGhost, row_bytes);
     }
-  }
-  static void gather(const Kernel& k, int t, std::int64_t lo,
-                     std::int64_t n, std::vector<double>& out) {
-    const Grid3D<double>& g = k.grid_at(t);
-    for (std::int64_t z = lo; z < lo + n; ++z)
-      for (int y = 0; y < k.height(); ++y)
-        for (int x = 0; x < k.width(); ++x)
-          out.push_back(g.at(x, y, static_cast<int>(z)));
   }
   static std::int64_t slice_points(const JobRequest& rq) {
     return rq.nx * rq.ny;
@@ -261,19 +240,6 @@ JobResult run_split_impl(const JobRequest& rq, const ShardSchedule& sched,
   }
   r.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 
-  // Assemble the global grid shard by shard (ascending split dimension, so
-  // the element order matches copy_result_to of an unsharded kernel). The
-  // final block may be odd; grid_at follows its parity.
-  const int t_final = sched.block_steps.back();
-  std::vector<double> grid;
-  grid.reserve(static_cast<std::size_t>(job_points(rq)));
-  for (int i = 0; i < S; ++i) {
-    const ShardDomain& own = owned[static_cast<std::size_t>(i)];
-    const std::int64_t h_lo = i > 0 ? sched.halo : 0;
-    A::gather(*kernels[static_cast<std::size_t>(i)], t_final, h_lo,
-              own.rows(), grid);
-  }
-
   const SchemeChoice& choice = outcomes[0].choice;
   r.scheme = scheme_name(choice.scheme);
   r.tz = choice.tz;
@@ -287,9 +253,20 @@ JobResult run_split_impl(const JobRequest& rq, const ShardSchedule& sched,
                 ? static_cast<double>(n) * rq.t_steps / r.seconds / 1e6
                 : 0.0;
   for (const ShardOutcome& oc : outcomes) r.model_dram_bytes += oc.model_bytes;
-  r.checksum = fnv1a(grid);
-  r.sample = grid[grid.size() / 2];
-  if (out_grid != nullptr) *out_grid = std::move(grid);
+
+  // Walk each shard's owned slices in shard order (ascending split
+  // dimension), so the rows arrive in copy_result_to order of an unsharded
+  // kernel. The final block may be odd; grid_at follows its parity.
+  const int t_final = sched.block_steps.back();
+  GridDigest dig(n, out_grid);
+  for (int i = 0; i < S; ++i) {
+    const std::int64_t lo = i > 0 ? sched.halo : 0;
+    const std::int64_t hi = lo + owned[static_cast<std::size_t>(i)].rows();
+    digest_rows(kernels[static_cast<std::size_t>(i)]->grid_at(t_final),
+                static_cast<int>(lo), static_cast<int>(hi), dig);
+  }
+  r.checksum = dig.checksum();
+  r.sample = dig.sample();
   r.status = JobStatus::Done;
   return r;
 }

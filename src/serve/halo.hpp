@@ -16,8 +16,8 @@
 // *recomputed* by both neighbors with identical arithmetic (deep halo), the
 // initial condition is a function of global coordinates, and blocks are even
 // so every exchange happens at buffer parity 0; the owned rows therefore
-// match an unsharded run bit for bit, and the assembled grid's checksum
-// equals the single-shard one.
+// match an unsharded run bit for bit, and the checksum over the shards'
+// owned rows, taken in place in shard order, equals the single-shard one.
 
 #include <vector>
 

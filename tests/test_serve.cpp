@@ -1,15 +1,20 @@
 // Stencil-service tests: wire protocol round-trip, fair-share queue
 // semantics, NUMA shard derivation, the cross-shard halo schedule
 // (emit + verify + bit-exact execution against an unsharded run), the
-// multi-tenant reduced-Z residency certificate, and the full UDS server
+// multi-tenant reduced-Z residency certificate, the in-place grid checksum
+// (vector FNV-1a against its scalar definition), and the full UDS server
 // lifecycle including drain-under-load.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstring>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,6 +24,7 @@
 #include "plan/emit.hpp"
 #include "plan/shard.hpp"
 #include "plan/verify.hpp"
+#include "serve/checksum.hpp"
 #include "serve/client.hpp"
 #include "serve/exec.hpp"
 #include "serve/halo.hpp"
@@ -340,27 +346,37 @@ TEST(ShardSchedule, VerifierCatchesTampering) {
 // --- Halo-split execution: bit-exact vs unsharded ---------------------------
 
 TEST(ServeHalo, Split2DBitExactAcrossShardCounts) {
-  const JobRequest rq = job2d(52, 96, 11);
-  ExecEnv env;
-  env.threads = 2;
-  std::vector<double> ref;
-  const JobResult direct = execute_job(rq, env, &ref);
-  ASSERT_EQ(direct.status, JobStatus::Done) << direct.error;
+  for (const char* kernel : {"const2d", "const2d_f32"}) {
+    JobRequest rq = job2d(52, 96, 11);
+    rq.kernel = kernel;
+    ExecEnv env;
+    env.threads = 2;
+    std::vector<double> ref;
+    const JobResult direct = execute_job(rq, env, &ref);
+    ASSERT_EQ(direct.status, JobStatus::Done) << direct.error;
 
-  for (const int shards : {2, 3}) {
-    const ShardSchedule sched =
-        plan_ir::emit_shard_schedule(rq.ny, shards, rq.t_steps, 1, 4);
-    ASSERT_TRUE(plan_ir::verify_shard_schedule(sched).ok());
-    ASSERT_EQ(sched.shards(), shards);
-    const std::vector<ShardSlot> slots(
-        static_cast<std::size_t>(shards), ShardSlot{{}, 1});
-    std::vector<double> got;
-    const JobResult split = run_split_job(rq, sched, slots, env, &got);
-    ASSERT_EQ(split.status, JobStatus::Done) << split.error;
-    EXPECT_EQ(split.shards_used, shards);
-    ASSERT_EQ(got.size(), ref.size());
-    EXPECT_EQ(got, ref) << "sharded grid differs (shards=" << shards << ")";
-    EXPECT_EQ(split.checksum, direct.checksum);
+    for (const int shards : {2, 3}) {
+      const ShardSchedule sched =
+          plan_ir::emit_shard_schedule(rq.ny, shards, rq.t_steps, 1, 4);
+      ASSERT_TRUE(plan_ir::verify_shard_schedule(sched).ok());
+      ASSERT_EQ(sched.shards(), shards);
+      const std::vector<ShardSlot> slots(
+          static_cast<std::size_t>(shards), ShardSlot{{}, 1});
+      std::vector<double> got;
+      const JobResult split = run_split_job(rq, sched, slots, env, &got);
+      ASSERT_EQ(split.status, JobStatus::Done) << split.error;
+      EXPECT_EQ(split.shards_used, shards);
+      ASSERT_EQ(got.size(), ref.size());
+      EXPECT_EQ(got, ref) << kernel << ": sharded grid differs (shards="
+                          << shards << ")";
+      EXPECT_EQ(split.checksum, direct.checksum) << kernel;
+
+      // Without out_grid the checksum comes from the shards' rows in place.
+      const JobResult bare = run_split_job(rq, sched, slots, env);
+      ASSERT_EQ(bare.status, JobStatus::Done) << bare.error;
+      EXPECT_EQ(bare.checksum, direct.checksum) << kernel;
+      EXPECT_EQ(bare.sample, direct.sample) << kernel;
+    }
   }
 }
 
@@ -381,6 +397,11 @@ TEST(ServeHalo, Split3DBitExactWithOddFinalBlock) {
   ASSERT_EQ(split.status, JobStatus::Done) << split.error;
   EXPECT_EQ(got, ref);
   EXPECT_EQ(split.checksum, direct.checksum);
+
+  const JobResult bare = run_split_job(rq, sched, slots, env);
+  ASSERT_EQ(bare.status, JobStatus::Done) << bare.error;
+  EXPECT_EQ(bare.checksum, direct.checksum);
+  EXPECT_EQ(bare.sample, direct.sample);
 }
 
 TEST(ServeHalo, RefusesUnverifiableSchedule) {
@@ -392,6 +413,96 @@ TEST(ServeHalo, RefusesUnverifiableSchedule) {
   const JobResult r = run_split_job(rq, sched, slots, env);
   EXPECT_EQ(r.status, JobStatus::Failed);
   EXPECT_NE(r.error.find("verification"), std::string::npos);
+}
+
+// --- In-place checksums -----------------------------------------------------
+
+std::uint64_t scalar_checksum(const std::vector<double>& grid) {
+  return fnv1a_scalar(kFnv1aOffset,
+                      reinterpret_cast<const unsigned char*>(grid.data()),
+                      grid.size() * sizeof(double));
+}
+
+TEST(ServeChecksum, VectorHashMatchesScalarDefinition) {
+  std::printf("[ checksum ] fnv1a_bytes path: %s\n", fnv1a_path());
+  std::mt19937_64 rng(2024);
+  std::vector<unsigned char> buf(70001 + 64);
+  for (unsigned char& c : buf) c = static_cast<unsigned char>(rng());
+  for (int i = 0; i < 600; ++i) {
+    // Lengths 0..70000 (mostly not multiples of 64), unaligned starts,
+    // arbitrary start states.
+    const std::size_t off = rng() % 64;
+    const std::size_t len = rng() % 70001;
+    const std::uint64_t h = rng();
+    ASSERT_EQ(fnv1a_bytes(h, buf.data() + off, len),
+              fnv1a_scalar(h, buf.data() + off, len))
+        << "offset " << off << " length " << len << " state " << h;
+  }
+  for (const unsigned char fill : {0x00, 0xFF}) {
+    const std::vector<unsigned char> same(70000, fill);
+    for (const std::size_t len : {0, 1, 63, 64, 65, 2047, 2048, 2049, 70000}) {
+      for (const std::uint64_t h :
+           {kFnv1aOffset, std::uint64_t{0}, ~std::uint64_t{0}}) {
+        EXPECT_EQ(fnv1a_bytes(h, same.data(), len),
+                  fnv1a_scalar(h, same.data(), len))
+            << "fill " << int{fill} << " length " << len << " state " << h;
+      }
+    }
+  }
+}
+
+TEST(ServeChecksum, InPlaceMatchesCopiedGrid) {
+  JobRequest f32 = job2d(45, 33, 9);
+  f32.kernel = "const2d_f32";
+  for (const JobRequest& rq : {job2d(37, 29, 10), f32, job3d(13, 11, 9, 6)}) {
+    ExecEnv env;
+    env.threads = 2;
+    std::vector<double> grid;
+    const JobResult r = execute_job(rq, env, &grid);
+    ASSERT_EQ(r.status, JobStatus::Done) << r.error;
+    ASSERT_EQ(static_cast<std::int64_t>(grid.size()), job_points(rq));
+    EXPECT_EQ(r.checksum, fnv1a(grid)) << rq.kernel;
+    EXPECT_EQ(r.checksum, scalar_checksum(grid)) << rq.kernel;
+    EXPECT_EQ(r.sample, grid[grid.size() / 2]) << rq.kernel;
+    const JobResult bare = execute_job(rq, env);
+    ASSERT_EQ(bare.status, JobStatus::Done) << bare.error;
+    EXPECT_EQ(bare.checksum, r.checksum) << rq.kernel;
+    EXPECT_EQ(bare.sample, r.sample) << rq.kernel;
+  }
+}
+
+TEST(ServeChecksum, Fp32RowsHashAsWidenedDoubles) {
+  const std::uint32_t specials[] = {
+      0x00000000U, 0x80000000U,  // +0, -0
+      0x00000001U, 0x807FFFFFU,  // smallest and largest subnormals
+      0x7F800000U, 0xFF800000U,  // +inf, -inf
+      0x7FC00000U, 0xFFC12345U,  // quiet NaNs, one with a payload
+      0x7F800001U, 0x7FA5A5A5U,  // signalling NaN payloads
+      0x7F7FFFFFU, 0xFF7FFFFFU,  // +-FLT_MAX
+      0x3F800000U};              // 1.0
+  // 333 floats: more than one 256-value widening chunk, an odd tail.
+  std::vector<float> row(333);
+  for (std::size_t i = 0; i < row.size(); ++i)
+    std::memcpy(&row[i], &specials[i % std::size(specials)], sizeof(float));
+  std::vector<double> wide(row.size());
+  for (std::size_t i = 0; i < row.size(); ++i)
+    wide[i] = static_cast<double>(row[i]);
+
+  std::vector<double> copy;
+  GridDigest d(static_cast<std::int64_t>(row.size()), &copy);
+  d.row(row.data(), static_cast<int>(row.size()));
+  EXPECT_EQ(d.checksum(), fnv1a(wide));
+  EXPECT_EQ(d.checksum(), scalar_checksum(wide));
+  ASSERT_EQ(copy.size(), wide.size());
+  EXPECT_EQ(std::memcmp(copy.data(), wide.data(),
+                        wide.size() * sizeof(double)),
+            0);
+  std::uint64_t sample_bits = 0;
+  std::uint64_t mid_bits = 0;
+  const double sample = d.sample();
+  std::memcpy(&sample_bits, &sample, sizeof sample);
+  std::memcpy(&mid_bits, &wide[wide.size() / 2], sizeof mid_bits);
+  EXPECT_EQ(sample_bits, mid_bits);
 }
 
 // --- Multi-tenant cache partitioning ----------------------------------------

@@ -22,7 +22,8 @@ namespace {
 const char* kUsage =
     "usage: cats_submit [--socket PATH] <command> [options]\n"
     "commands:\n"
-    "  submit   --kernel const2d|const3d --nx N --ny N [--nz N] -T N\n"
+    "  submit   --kernel const2d|const2d_f32|const3d\n"
+    "           --nx N --ny N [--nz N] -T N\n"
     "           [--tenant NAME] [--seed N] [--threads N] [--scheme S]\n"
     "           [--split auto|never|force] [--nt-stores] [--selftest]\n"
     "  stats    print the server's scheduler statistics (JSON)\n"
