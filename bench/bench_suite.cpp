@@ -7,14 +7,11 @@
 // "threads" context keys the groups; the fp32 family carries its own
 // naive/plain anchors).
 //
-// Each CATS2 family is measured three ways: "cats2_plain" disables the wave
-// engine (unroll_t=1, no NT stores, no software prefetch), "cats2_wave"
-// enables it (temporal fusion, NT trailing stores, prefetch), and "cats2_tv"
-// additionally runs the fused chain through the temporally-vectorized
-// micro-kernel (RunOptions::temporal_vec, wave/temporal_vec.hpp). The
-// wave/plain ratio is the wave engine's speedup, the tv/wave ratio the
-// register-window gain, and const2d_f32 vs const2d at equal config the fp32
-// precision gain.
+// Each CATS2 family is measured two ways: "cats2_plain" disables the wave
+// engine (unroll_t=1, no NT stores, no software prefetch) and "cats2_wave"
+// enables it (temporal fusion, NT trailing stores, prefetch). The
+// wave/plain ratio is the wave engine's speedup, and const2d_f32 vs const2d
+// at equal config the fp32 precision gain.
 //
 // MWD row: "mwd_g2" pools pairs of threads over shared diamonds
 // (RunOptions::mwd_group = 2, plan/emit.hpp emit_mwd) at the wave
@@ -40,18 +37,16 @@ struct SchemeConfig {
   int unroll_t;       // RunOptions::unroll_t (0 = auto-fuse)
   bool nt_stores;
   int prefetch_dist;
-  bool temporal_vec;  // RunOptions::temporal_vec (register-window chains)
-  int mwd_group;      // RunOptions::mwd_group (MWD shared-diamond groups)
+  int mwd_group;  // RunOptions::mwd_group (MWD shared-diamond groups)
 };
 
 constexpr SchemeConfig kConfigs[] = {
-    {"naive", Scheme::Naive, 1, false, 0, false, 0},
-    {"pluto", Scheme::PlutoLike, 1, false, 0, false, 0},
-    {"cats1", Scheme::Cats1, 0, false, 4, false, 0},
-    {"cats2_plain", Scheme::Cats2, 1, false, 0, false, 0},
-    {"cats2_wave", Scheme::Cats2, 0, true, 4, false, 0},
-    {"cats2_tv", Scheme::Cats2, 0, true, 4, true, 0},
-    {"mwd_g2", Scheme::Mwd, 0, true, 4, false, 2},
+    {"naive", Scheme::Naive, 1, false, 0, 0},
+    {"pluto", Scheme::PlutoLike, 1, false, 0, 0},
+    {"cats1", Scheme::Cats1, 0, false, 4, 0},
+    {"cats2_plain", Scheme::Cats2, 1, false, 0, 0},
+    {"cats2_wave", Scheme::Cats2, 0, true, 4, 0},
+    {"mwd_g2", Scheme::Mwd, 0, true, 4, 2},
 };
 
 RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
@@ -60,7 +55,6 @@ RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
   opt.unroll_t = sc.unroll_t;
   opt.nt_stores = sc.nt_stores;
   opt.prefetch_dist = sc.prefetch_dist;
-  opt.temporal_vec = sc.temporal_vec;
   if (sc.mwd_group > 0) {
     // Clamp like run() would (largest divisor of the pool) so a THREADS=1
     // matrix leg times the degenerate single-worker MWD, not a warning.
@@ -177,11 +171,9 @@ int main(int argc, char** argv) {
        {"const2d", "const2d_f32", "banded2d", "const3d", "banded3d"}) {
     const double plain = mlups_of(kernel, "cats2_plain");
     const double wave = mlups_of(kernel, "cats2_wave");
-    const double tv = mlups_of(kernel, "cats2_tv");
     ratio_line(std::string(kernel) + ": wave engine speedup", plain, wave);
-    ratio_line(std::string(kernel) + ": temporal vec speedup", wave, tv);
   }
-  for (const char* config : {"naive", "cats2_plain", "cats2_wave", "cats2_tv"}) {
+  for (const char* config : {"naive", "cats2_plain", "cats2_wave"}) {
     ratio_line(std::string("const2d_f32/") + config + ": fp32 speedup",
                mlups_of("const2d", config), mlups_of("const2d_f32", config));
   }

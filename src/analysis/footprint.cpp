@@ -4,8 +4,9 @@
 // element type, emits the production plan for a small domain, and drives
 // the production wave walker over it. The checker certifies every recorded
 // address; on top, each run asserts it *exercised* what it claims to cover
-// (stream stores observed when NT is armed, TV groups formed when enabled)
-// — a vacuous certification is reported as a failure, not a pass.
+// (stream stores observed when NT is armed, the 2D chunk stagger walked when
+// CATS1 fuses) — a vacuous certification is reported as a failure, not a
+// pass.
 
 #include "analysis/footprint.hpp"
 
@@ -33,7 +34,6 @@ namespace {
 struct Cfg {
   int u;
   bool nt;
-  bool tv;
 };
 
 /// Full option cross for the CATS schemes. Naive plans neither chain nor
@@ -43,18 +43,16 @@ struct Cfg {
 std::vector<Cfg> cats_cfgs() {
   std::vector<Cfg> v;
   for (int u = 0; u <= 4; ++u)
-    for (int nt = 0; nt < 2; ++nt)
-      for (int tv = 0; tv < 2; ++tv) v.push_back({u, nt != 0, tv != 0});
+    for (int nt = 0; nt < 2; ++nt) v.push_back({u, nt != 0});
   return v;
 }
-std::vector<Cfg> naive_cfgs() { return {{0, false, false}, {4, true, true}}; }
+std::vector<Cfg> naive_cfgs() { return {{0, false}, {4, true}}; }
 
 RunOptions make_opt(const plan_ir::TilePlan& p, const Cfg& c) {
   RunOptions o;
   o.threads = p.threads;
   o.unroll_t = c.u;
   o.nt_stores = c.nt;
-  o.temporal_vec = c.tv;
   o.prefetch_dist = 0;
   o.mwd_group = std::max(1, p.mwd_group);
   return o;
@@ -94,8 +92,8 @@ void arm_nt(plan_ir::TilePlan& p) {
 std::string cfg_label(const char* family, const char* prec, const char* sch,
                       const Cfg& c) {
   char buf[128];
-  std::snprintf(buf, sizeof buf, "%s %s %s u=%d nt=%d tv=%d", family, prec,
-                sch, c.u, c.nt ? 1 : 0, c.tv ? 1 : 0);
+  std::snprintf(buf, sizeof buf, "%s %s %s u=%d nt=%d", family, prec, sch,
+                c.u, c.nt ? 1 : 0);
   return buf;
 }
 
@@ -129,19 +127,21 @@ void exercise_nt(FpReport& rep, const FootprintChecker& chk,
 
 // ---- 2D families -----------------------------------------------------------
 
-template <class T>
-void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
-  constexpr int S = 2;
-  const int nx = 64, ny = 20, nt_steps = 6, threads = 2;
+/// The 2D scheme cases. CATS1 rows span several 4 KiB chunks (5 at fp64, 3
+/// at fp32), so its fused groups walk run_fused_2d's chunk stagger; the
+/// other schemes keep the 64-point toy rows.
+std::vector<SchemeCase> cases_2d(int S) {
+  const int nx = 64, wide_nx = 2100, ny = 20, nt_steps = 6, threads = 2;
   std::vector<SchemeCase> cases;
   cases.push_back(
       {"naive", plan_ir::emit_naive(2, nx, ny, 1, nt_steps, S, threads),
        false});
   cases.push_back(
-      {"cats1", plan_ir::emit_cats1(2, nx, ny, 1, nt_steps, S, 3, threads),
+      {"cats1",
+       plan_ir::emit_cats1(2, wide_nx, ny, 1, nt_steps, S, 3, threads),
        true});
   // bz must exceed the widest vector (16 fp32 lanes on AVX-512) or diamond
-  // slabs stay scalar-only and the NT/TV exercise checks turn vacuous.
+  // slabs stay scalar-only and the NT exercise check turns vacuous.
   cases.push_back(
       {"cats2", plan_ir::emit_cats2(2, nx, ny, 1, nt_steps, S, 24, threads),
        true});
@@ -149,33 +149,45 @@ void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
   cases.push_back(
       {"mwd", plan_ir::emit_mwd(2, nx, ny, 1, nt_steps, S, 24, 1, 2), true});
   for (auto& sc : cases) arm_nt(sc.plan);
-  for (const auto& sc : cases) {
+  return cases;
+}
+
+/// CATS1 2D tiles never split a row, so a row resumed part-way can only be
+/// the fused chunk stagger: it must occur whenever fusion is on and never
+/// when it is off.
+template <class K>
+void drive_2d_case(K& k, const SchemeCase& sc, const Cfg& c,
+                   FootprintChecker& chk, FpReport& rep) {
+  RecWrap2D<K> wrap(k, chk);
+  drive_2d(wrap, sc.plan, make_opt(sc.plan, c), chk);
+  finish(rep, chk);
+  exercise_nt(rep, chk, sc, c);
+  if (std::strcmp(sc.name, "cats1") != 0) return;
+  if (c.u != 1 && wrap.resumed_rows == 0) {
+    rep.diags.push_back(
+        {"exercise: CATS1 fusion on but no row resumed part-way (chunk "
+         "stagger not walked)"});
+  }
+  if (c.u == 1 && wrap.resumed_rows != 0) {
+    rep.diags.push_back(
+        {"exercise: a row resumed part-way with fusion off"});
+  }
+}
+
+template <class T>
+void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
+  constexpr int S = 2;
+  using K = ConstStar2D<S, T>;
+  for (const auto& sc : cases_2d(S)) {
     for (const Cfg& c : sc.cats ? cats_cfgs() : naive_cfgs()) {
-      ConstStar2D<S, T> k(nx, ny, default_star2d_weights<S, T>());
+      K k(static_cast<int>(sc.plan.nx), static_cast<int>(sc.plan.ny),
+          default_star2d_weights<S, T>());
       FootprintChecker chk(2, S);
       chk.add_state_grid_2d(k.grid_at(0), 0, "const2d/buf0");
       chk.add_state_grid_2d(k.grid_at(1), 1, "const2d/buf1");
-      RecWrap2D<ConstStar2D<S, T>> wrap(k, chk);
-      drive_2d(wrap, sc.plan, make_opt(sc.plan, c), chk);
       FpReport rep;
       rep.config = cfg_label("const2d/s2", prec, sc.name, c);
-      finish(rep, chk);
-      exercise_nt(rep, chk, sc, c);
-      // CATS1 columns (and MWD member bands) produce single-row chain
-      // links; with fusion enabled the TV (or plain fused) body must
-      // actually run.
-      if ((std::strcmp(sc.name, "cats1") == 0 ||
-           std::strcmp(sc.name, "mwd") == 0) &&
-          c.u != 1) {
-        if (c.tv && wrap.tv_calls == 0) {
-          rep.diags.push_back(
-              {"exercise: temporal_vec enabled but no TV group ran"});
-        }
-        if (!c.tv && wrap.stages_calls == 0) {
-          rep.diags.push_back(
-              {"exercise: fusion enabled but no fused group ran"});
-        }
-      }
+      drive_2d_case(k, sc, c, chk, rep);
       out.push_back(std::move(rep));
     }
   }
@@ -183,42 +195,19 @@ void sweep_const2d(const char* prec, std::vector<FpReport>& out) {
 
 void sweep_banded2d(std::vector<FpReport>& out) {
   constexpr int S = 1;
-  const int nx = 64, ny = 20, nt_steps = 6, threads = 2;
   using K = Banded2D<S, RecElem64>;
-  std::vector<SchemeCase> cases;
-  cases.push_back(
-      {"naive", plan_ir::emit_naive(2, nx, ny, 1, nt_steps, S, threads),
-       false});
-  cases.push_back(
-      {"cats1", plan_ir::emit_cats1(2, nx, ny, 1, nt_steps, S, 3, threads),
-       true});
-  cases.push_back(
-      {"cats2", plan_ir::emit_cats2(2, nx, ny, 1, nt_steps, S, 24, threads),
-       true});
-  cases.push_back(
-      {"mwd", plan_ir::emit_mwd(2, nx, ny, 1, nt_steps, S, 24, 1, 2), true});
-  for (auto& sc : cases) arm_nt(sc.plan);
-  for (const auto& sc : cases) {
+  for (const auto& sc : cases_2d(S)) {
     for (const Cfg& c : sc.cats ? cats_cfgs() : naive_cfgs()) {
-      K k(nx, ny);
+      K k(static_cast<int>(sc.plan.nx), static_cast<int>(sc.plan.ny));
       FootprintChecker chk(2, S);
       chk.add_state_grid_2d(k.grid_at(0), 0, "banded2d/buf0");
       chk.add_state_grid_2d(k.grid_at(1), 1, "banded2d/buf1");
       for (int b = 0; b < K::kBands; ++b) {
         chk.add_band_grid_2d(k.band(b), b, "banded2d");
       }
-      RecWrap2D<K> wrap(k, chk);
-      drive_2d(wrap, sc.plan, make_opt(sc.plan, c), chk);
       FpReport rep;
       rep.config = cfg_label("banded2d/s1", "fp64", sc.name, c);
-      finish(rep, chk);
-      exercise_nt(rep, chk, sc, c);
-      if ((std::strcmp(sc.name, "cats1") == 0 ||
-           std::strcmp(sc.name, "mwd") == 0) &&
-          c.u != 1 && c.tv && wrap.tv_calls == 0) {
-        rep.diags.push_back(
-            {"exercise: temporal_vec enabled but no TV group ran"});
-      }
+      drive_2d_case(k, sc, c, chk, rep);
       out.push_back(std::move(rep));
     }
   }
@@ -254,14 +243,6 @@ void drive_3d_case(K& k, const SchemeCase& sc, const Cfg& c,
   drive_3d(wrap, sc.plan, make_opt(sc.plan, c), chk);
   finish(rep, chk);
   exercise_nt(rep, chk, sc, c);
-  // CATS1 3D tiles (and MWD member bands) chain single-z slabs; with
-  // fusion + TV on, the TV row body must actually run.
-  if ((std::strcmp(sc.name, "cats1") == 0 ||
-       std::strcmp(sc.name, "mwd") == 0) &&
-      c.u != 1 && c.tv && wrap.tv_rows == 0) {
-    rep.diags.push_back(
-        {"exercise: temporal_vec enabled but no TV row ran"});
-  }
 }
 
 void sweep_const3d(std::vector<FpReport>& out) {

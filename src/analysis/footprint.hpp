@@ -1,9 +1,10 @@
 #pragma once
 // Symbolic footprint analyzer (DESIGN.md §15): drive the *real* wave engine
-// (wave/engine.hpp walkers, the production chain/NT/TV dispatch) over the
-// *real* emitted TilePlans with kernels instantiated on recording element
-// types (analysis/record.hpp), and check every recorded load/store address
-// online against what the plan says the kernel may touch:
+// (wave/engine.hpp walkers, the production chain/NT dispatch and the fused
+// drivers of wave/microkernel.hpp) over the *real* emitted TilePlans with
+// kernels instantiated on recording element types (analysis/record.hpp),
+// and check every recorded load/store address online against what the plan
+// says the kernel may touch:
 //
 //  * halo containment — a store lands exactly in the slab's row segment of
 //    the timestep-parity destination buffer; a load stays inside the
@@ -21,8 +22,8 @@
 //    write; a load of timestep-t data must observe version t-1 (catches
 //    both stale reads and WAR violations of the fused-chain stagger,
 //    end-to-end through the engine's group building), and a store must
-//    overwrite the t-2 parity value (or re-store its own t value — the TV
-//    ragged-edge vectors intentionally rewrite identical values);
+//    overwrite the t-2 parity value — storing an element twice is a
+//    violation too;
 //  * buffer-parity non-aliasing — loads resolve only against the (t-1)&1
 //    buffer, stores only against t&1, and coefficient bands are
 //    read-only.
@@ -38,6 +39,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -85,8 +87,8 @@ struct GridView {
   std::string name;
 };
 
-/// One active kernel-call stage: the row segment some process_row* /
-/// process_stages* call is entitled to compute. 2D stages use z = 0.
+/// One active kernel-call stage: the row segment some process_row* call is
+/// entitled to compute. 2D stages use z = 0.
 struct FpStage {
   int t = 0;
   int y = 0;
@@ -384,15 +386,15 @@ class FootprintChecker {
         streamed_lines_.insert(line);
       }
     }
-    // Version update: the destination held the t-2 parity value (0 = the
-    // initial condition), or t itself (the TV ragged-edge rewrite of an
-    // identical value).
+    // Version update: the destination must hold the t-2 parity value (0 =
+    // the initial condition). No body rewrites a value, so an element that
+    // already holds t was stored twice.
     const int t = match->t;
     std::vector<std::int32_t>& ver = version_[grid_idx_];
     const std::int32_t expect = t >= 2 ? t - 2 : 0;
     for (int i = 0; i < elems; ++i) {
       const std::int32_t old = ver[off + static_cast<std::size_t>(i)];
-      if (old != expect && old != t) {
+      if (old != expect) {
         add_diag(fmt("WAR/version violation on store: grid %s x=%d y=%d z=%d "
                      "holds t=%d data, stage t=%d expected t=%d (stagger "
                      "broken?)%s",
@@ -511,16 +513,23 @@ class FpCallScope {
 /// Transparent 2D kernel wrapper: forwards every engine-facing entry point
 /// to the recording-instantiated kernel, bracketing each call with its
 /// stage context so the checker can attribute every address. Requires the
-/// full-featured kernel interface (process_row/_nt/process_stages/_tv) —
-/// which all analyzed families provide.
+/// full-featured kernel interface (process_row/_nt, element_bytes) — which
+/// all analyzed families provide.
 template <class K>
 class RecWrap2D {
  public:
+  static constexpr bool wave_fusable = true;  ///< engine-side fusion opt-in
+
   RecWrap2D(K& k, FootprintChecker& c) : k_(&k), c_(&c) {}
+
+  /// Forwarded so run_fused_2d cuts the production chunk width (1024
+  /// points for fp32, not the 512 of the 8-byte default).
+  double element_bytes() const { return k_->element_bytes(); }
 
   void process_row(int t, int y, int x0, int x1) {
     const FpStage s{t, y, 0, x0, x1, false};
     FpCallScope scope(*c_, &s, 1);
+    note_call(t, y, x0, x1);
     k_->process_row(t, y, x0, x1);
   }
   void process_row_scalar(int t, int y, int x0, int x1) {
@@ -531,33 +540,31 @@ class RecWrap2D {
   void process_row_nt(int t, int y, int x0, int x1) {
     const FpStage s{t, y, 0, x0, x1, true};
     FpCallScope scope(*c_, &s, 1);
+    note_call(t, y, x0, x1);
     k_->process_row_nt(t, y, x0, x1);
   }
-  void process_stages(const WaveStage* st, int n) {
-    FpStage s[4];
-    for (int i = 0; i < n; ++i) {
-      s[i] = FpStage{st[i].t, st[i].y, 0, st[i].x0, st[i].x1, st[i].nt};
-    }
-    FpCallScope scope(*c_, s, n);
-    ++stages_calls;
-    k_->process_stages(st, n);
-  }
-  void process_stages_tv(const WaveStage* st, int n) {
-    FpStage s[4];
-    for (int i = 0; i < n; ++i) {
-      s[i] = FpStage{st[i].t, st[i].y, 0, st[i].x0, st[i].x1, st[i].nt};
-    }
-    FpCallScope scope(*c_, s, n);
-    ++tv_calls;
-    k_->process_stages_tv(st, n);
-  }
 
-  long long stages_calls = 0;  ///< fused-group invocations observed
-  long long tv_calls = 0;      ///< temporally-vectorized group invocations
+  /// process_row/_nt calls that resumed a row part-way: they start where an
+  /// earlier call on the same (t, y) stopped, and another row's call ran in
+  /// between — the 2D chunk stagger of run_fused_2d, observed.
+  long long resumed_rows = 0;
 
  private:
+  void note_call(int t, int y, int x0, int x1) {
+    const std::int64_t key =
+        (static_cast<std::int64_t>(t) << 32) | static_cast<std::uint32_t>(y);
+    const auto it = row_end_.find(key);
+    if (it != row_end_.end() && it->second == x0 && key != last_key_) {
+      ++resumed_rows;
+    }
+    row_end_[key] = x1;
+    last_key_ = key;
+  }
+
   K* k_;
   FootprintChecker* c_;
+  std::unordered_map<std::int64_t, int> row_end_;  ///< (t, y) -> last x1
+  std::int64_t last_key_ = -1;
 };
 
 /// Transparent 3D kernel wrapper (see RecWrap2D).
@@ -583,14 +590,6 @@ class RecWrap3D {
     FpCallScope scope(*c_, &s, 1);
     k_->process_row_nt(t, y, z, x0, x1);
   }
-  void process_row_tv(int t, int y, int z, int x0, int x1, bool nt) {
-    const FpStage s{t, y, z, x0, x1, nt};
-    FpCallScope scope(*c_, &s, 1);
-    ++tv_rows;
-    k_->process_row_tv(t, y, z, x0, x1, nt);
-  }
-
-  long long tv_rows = 0;  ///< temporally-vectorized row invocations
 
  private:
   K* k_;
@@ -713,10 +712,12 @@ void drive_plan_3d_mwd(RecK& rk, const plan_ir::TilePlan& p,
 }
 
 /// The CI matrix: every kernel family x scheme x {unroll_t 0..4} x
-/// {nt_stores} x {temporal_vec} (x {fp64, fp32} for the const2d family),
-/// each driven over a small emitted plan and certified clean. Exercise
-/// assertions (streams observed when armed, TV groups formed when enabled)
-/// are reported as diagnostics too — a vacuous certification is a failure.
+/// {nt_stores} (x {fp64, fp32} for the const2d family), each driven over a
+/// small emitted plan and certified clean — 180 configs. The 2D CATS1 cases
+/// use rows several chunks wide, so fused groups walk the chunk stagger.
+/// Exercise assertions (streams observed when armed, resumed rows under 2D
+/// CATS1 fusion and none without it) are reported as diagnostics too — a
+/// vacuous certification is a failure.
 std::vector<FpReport> footprint_sweep();
 
 }  // namespace analysis

@@ -7,8 +7,8 @@
 // RecElem32 swaps every vector load/store for a *recording* operation: the
 // address, width and access kind flow to the installed AccessHook, no real
 // arithmetic happens, and the instantiated body is otherwise the untouched
-// production source — same loop structure, same span/chunk/window logic,
-// same store-flavor selection. RecElem64 has sizeof(double) and RecVec64
+// production source — same loop structure, same span logic, same
+// store-flavor selection. RecElem64 has sizeof(double) and RecVec64
 // the production VecD width (RecElem32 likewise mirrors float/VecF), so
 // grid pitches, alignment and vector coverage are bit-for-bit the
 // production layout.
@@ -109,12 +109,6 @@ struct RecVec {
   friend RecVec operator-(RecVec, RecVec) { return {}; }
   friend RecVec operator*(RecVec, RecVec) { return {}; }
   static RecVec fma(RecVec, RecVec, RecVec) { return {}; }
-  /// In-register lane extract — moves no memory, records nothing.
-  template <int K>
-  static RecVec shuffle(RecVec, RecVec) {
-    static_assert(K >= 0 && K <= width);
-    return {};
-  }
   double hsum() const { return 0.0; }
 };
 

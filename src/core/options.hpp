@@ -107,18 +107,6 @@ struct RunOptions {
   /// unfused walk; auto-disabled under an attached dependence oracle.
   int unroll_t = 0;
 
-  /// Temporal vectorization of the fused wavefront chain (src/wave,
-  /// wave/temporal_vec.hpp): sweep each fused group's rows through a sliding
-  /// register window, so every center-row x-neighborhood comes from one
-  /// aligned load plus in-register shuffles instead of 2s+1 overlapping
-  /// unaligned reloads. Opt-in; takes effect only where a
-  /// fused chain forms (unroll_t resolves > 1 and the kernel implements the
-  /// TV body). Kernels declare per-kernel bit-exactness vs. the plain walk
-  /// via `tv_bit_exact` (core/stencil.hpp kernel_tv_bit_exact); all in-tree
-  /// families preserve the identical operation tree, so results are
-  /// bit-identical.
-  bool temporal_vec = false;
-
   /// Threads cooperating on one MWD diamond tube (Scheme::Mwd): the domain is
   /// tiled into threads/mwd_group diamond columns sized against the
   /// group-shared cache Z*mwd_group (Eq. 2 with the pooled budget), and the

@@ -206,7 +206,6 @@ RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
   // (pre-wave DBs) keep the caller's values.
   if (e->nt_stores >= 0) tuned.nt_stores = e->nt_stores != 0;
   if (e->unroll_t >= 0) tuned.unroll_t = e->unroll_t;
-  if (e->temporal_vec >= 0) tuned.temporal_vec = e->temporal_vec != 0;
   if (e->mwd_group > 0 && e->mwd_group <= opt.threads)
     tuned.mwd_group = e->mwd_group;
   if (e->prefetch_dist >= 0) tuned.prefetch_dist = e->prefetch_dist;

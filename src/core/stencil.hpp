@@ -114,74 +114,6 @@ constexpr bool kernel_has_row_nt_3d =
       k.process_row_nt(t, y, z, x0, x1);
     };
 
-/// Vectors per x-chunk of the fused 2D micro-kernel's diagonal schedule
-/// (kernels/const2d.hpp, banded2d.hpp). Wider chunks amortize the
-/// stage-switch overhead; narrower ones keep the group's live rows hotter in
-/// L1. Overridable at build time for tuning experiments.
-#ifndef CATS_WAVE_CHUNK_VECS
-#define CATS_WAVE_CHUNK_VECS 64
-#endif
-inline constexpr int kWaveChunkVecs = CATS_WAVE_CHUNK_VECS;
-
-/// One stage of a fused temporal micro-kernel group: the row at timestep t
-/// (2D: row y; the engine builds stages from consecutive wavefront-chain
-/// slabs, t ascending by 1). [x0, x1) half-open like process_row.
-struct WaveStage {
-  int t = 0;
-  int y = 0;
-  int x0 = 0, x1 = 0;
-  bool nt = false;  ///< stream this stage's stores (trailing wavefront)
-};
-
-/// True when K implements the register-tiled 2D temporal micro-kernel
-/// `process_stages(const WaveStage* st, int n)`: n x-staggered rows at
-/// consecutive timesteps swept in lockstep with one weight/pointer setup
-/// (src/wave/microkernel.hpp documents the dependence-legal stagger).
-template <class K>
-constexpr bool kernel_has_process_stages =
-    requires(K& k, const WaveStage* st, int n) {
-      k.process_stages(st, n);
-    };
-
-/// True when K implements the temporally-vectorized 2D chain body
-/// `process_stages_tv(const WaveStage* st, int n)`: same contract and
-/// schedule legality as process_stages, but each stage's interior is swept
-/// with a sliding register window (shuffle-combined aligned loads) and the
-/// ragged range ends with overlapping edge vectors
-/// (src/wave/temporal_vec.hpp). Opt-in via RunOptions::temporal_vec.
-template <class K>
-constexpr bool kernel_has_process_stages_tv =
-    requires(K& k, const WaveStage* st, int n) {
-      k.process_stages_tv(st, n);
-    };
-
-/// True when K implements the temporally-vectorized 3D row body
-/// `process_row_tv(t, y, z, x0, x1, nt)`: process_row arithmetic with the
-/// sliding-window interior, `nt` selecting the streaming store. 3D chains
-/// are row-staggered across planes, so cross-stage register forwarding does
-/// not apply — the win is the eliminated unaligned x-neighborhood reloads.
-template <class K>
-constexpr bool kernel_has_row_tv_3d =
-    requires(K& k, int t, int y, int z, int x0, int x1) {
-      k.process_row_tv(t, y, z, x0, x1, true);
-    };
-
-/// Per-kernel accuracy contract of the temporal-vectorization path. Kernels
-/// whose TV body evaluates the identical per-point operation tree as the
-/// plain path (no reassociation — shuffles and register forwarding move
-/// exact bits) declare `static constexpr bool tv_bit_exact = true`; their TV
-/// results are bitwise equal to the serial reference. A kernel without the
-/// flag (or a future TV variant that reassociates) is only ULP-bounded and
-/// is tested accordingly.
-template <class K>
-constexpr bool kernel_tv_bit_exact() {
-  if constexpr (requires { K::tv_bit_exact; }) {
-    return K::tv_bit_exact;
-  } else {
-    return false;
-  }
-}
-
 /// Bytes per stored element — the paper lists "the memory size of a data
 /// type" among CATS's parameters. Kernels with non-double storage expose an
 /// element_bytes() member; everything else defaults to sizeof(double).

@@ -14,15 +14,12 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/options.hpp"
-#include "core/stencil.hpp"  // WaveStage
 #include "grid/grid2d.hpp"
 #include "simd/vecd.hpp"
 #include "threads/first_touch.hpp"
-#include "wave/temporal_vec.hpp"
 
 namespace cats {
 
@@ -34,10 +31,10 @@ class Banded2D {
 
  public:
   static constexpr int kBands = 4 * S + 1;  // NS
-  /// The TV body evaluates the identical operation tree as the plain path
-  /// (coefficients load same-x; only the value center row is shuffle-fed),
-  /// so even the variable-coefficient kernel stays bit-exact.
-  static constexpr bool tv_bit_exact = true;
+
+  /// Engine-side temporal fusion is legal: value reads lie in the slope-S
+  /// box at t-1 and band reads are time-invariant (wave/microkernel.hpp).
+  static constexpr bool wave_fusable = true;
 
   Banded2D(int width, int height)
       : buf_{Grid2D<T>(width, height, S, kDeferFirstTouch),
@@ -135,160 +132,10 @@ class Banded2D {
     span<Sc>(t, y, x, x1);
   }
 
-  /// Register-tiled temporal micro-kernel (see ConstStar2D::process_stages
-  /// for the stagger contract). Banded stages additionally resolve the NS
-  /// coefficient-band row pointers once per group — the matrix entries are
-  /// time-invariant, so every fused timestep reads the same band rows while
-  /// they are hot.
-  void process_stages(const WaveStage* st, int n) {
-    Stage sg[4];
-    int base = st[0].x0;
-    int hi = st[0].x1;
-    resolve_stages(st, n, sg, base, hi);
-    using V = Vec;
-    constexpr int kChunk =
-        kWaveChunkVecs * V::width >= S
-            ? kWaveChunkVecs * V::width
-            : ((S + V::width - 1) / V::width) * V::width;
-    const int chunks = (hi - base + kChunk - 1) / kChunk;
-    for (int j = 0; j < chunks + n - 1; ++j) {
-      for (int g = 0; g < n; ++g) {
-        const int ci = j - g;
-        if (ci < 0 || ci >= chunks) continue;
-        const Stage& s = sg[g];
-        const int a = std::max(s.x0, base + ci * kChunk);
-        const int b = std::min(s.x1, base + (ci + 1) * kChunk);
-        if (a >= b) continue;
-        if (s.nt) {
-          stage_chunk<NtV>(s, a, b);
-        } else {
-          stage_chunk<Vec>(s, a, b);
-        }
-      }
-    }
-  }
-
-  /// Temporally-vectorized chain body (wave/temporal_vec.hpp; see
-  /// ConstStar2D::process_stages_tv). The value center row is fed from the
-  /// sliding register window; every coefficient band loads same-x (unit
-  /// stride, no shuffle needed). Identical operation tree per point as
-  /// process_stages (tv_bit_exact).
-  void process_stages_tv(const WaveStage* st, int n) {
-    using V = Vec;
-    Stage sg[4];
-    int base = st[0].x0;
-    int hi = st[0].x1;
-    resolve_stages(st, n, sg, base, hi);
-    auto win_body = [&](const Stage& s, int x, const auto& win) {
-      V acc = V::load(s.bc + x) * win.template get<0>();
-      [&]<std::size_t... K>(std::index_sequence<K...>) {
-        ((acc = V::fma(V::load(s.bxm[K] + x),
-                       win.template get<-(static_cast<int>(K) + 1)>(), acc),
-          acc = V::fma(V::load(s.bxp[K] + x),
-                       win.template get<static_cast<int>(K) + 1>(), acc),
-          acc = V::fma(V::load(s.bym[K] + x), V::load(s.rm[K] + x), acc),
-          acc = V::fma(V::load(s.byp[K] + x), V::load(s.rp[K] + x), acc)),
-         ...);
-      }(std::make_index_sequence<S>{});
-      return acc;
-    };
-    auto vec_body = [&](const Stage& s, int x) {
-      V acc = V::load(s.bc + x) * V::load(s.c + x);
-      for (int k = 0; k < S; ++k) {
-        acc = V::fma(V::load(s.bxm[k] + x), V::load(s.c + x - (k + 1)), acc);
-        acc = V::fma(V::load(s.bxp[k] + x), V::load(s.c + x + (k + 1)), acc);
-        acc = V::fma(V::load(s.bym[k] + x), V::load(s.rm[k] + x), acc);
-        acc = V::fma(V::load(s.byp[k] + x), V::load(s.rp[k] + x), acc);
-      }
-      return acc;
-    };
-    auto sc_body = [&](const Stage& s, int a, int b) {
-      for (int x = a; x < b; ++x) {
-        Sc acc = Sc::load(s.bc + x) * Sc::load(s.c + x);
-        for (int k = 0; k < S; ++k) {
-          acc = Sc::fma(Sc::load(s.bxm[k] + x), Sc::load(s.c + x - (k + 1)),
-                        acc);
-          acc = Sc::fma(Sc::load(s.bxp[k] + x), Sc::load(s.c + x + (k + 1)),
-                        acc);
-          acc = Sc::fma(Sc::load(s.bym[k] + x), Sc::load(s.rm[k] + x), acc);
-          acc = Sc::fma(Sc::load(s.byp[k] + x), Sc::load(s.rp[k] + x), acc);
-        }
-        acc.store(s.o + x);
-      }
-    };
-    wave::run_stages_tv<S, V, NtV, T>(sg, n, win_body, vec_body, sc_body);
-  }
-
  private:
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
   using NtV = typename simd::vec_traits<T>::Nt;
-
-  struct Stage {
-    const T* c;
-    T* o;
-    const T* rm[S];
-    const T* rp[S];
-    const T* bc;
-    const T *bxm[S], *bxp[S], *bym[S], *byp[S];
-    int x0, x1;
-    bool nt;
-  };
-
-  void resolve_stages(const WaveStage* st, int n, Stage* sg, int& base,
-                      int& hi) {
-    for (int g = 0; g < n; ++g) {
-      const Grid2D<T>& src = buf_[(st[g].t - 1) & 1];
-      Grid2D<T>& dst = buf_[st[g].t & 1];
-      const int y = st[g].y;
-      Stage& s = sg[g];
-      s.c = src.row(y);
-      s.o = dst.row(y);
-      s.bc = bands_[0].row(y);
-      for (int k = 0; k < S; ++k) {
-        s.rm[k] = src.row(y - (k + 1));
-        s.rp[k] = src.row(y + (k + 1));
-        const std::size_t bb = static_cast<std::size_t>(4 * k);
-        s.bxm[k] = bands_[bb + 1].row(y);
-        s.bxp[k] = bands_[bb + 2].row(y);
-        s.bym[k] = bands_[bb + 3].row(y);
-        s.byp[k] = bands_[bb + 4].row(y);
-      }
-      s.x0 = st[g].x0;
-      s.x1 = st[g].x1;
-      s.nt = st[g].nt;
-      base = std::min(base, st[g].x0);
-      hi = std::max(hi, st[g].x1);
-    }
-  }
-
-  /// One x-chunk of one stage: vector body then scalar tail. All operands
-  /// are loads (the banded stencil broadcasts nothing), so the generic
-  /// vector body serves both store flavors directly.
-  template <class V, class StageT>
-  void stage_chunk(const StageT& s, int a, int b) {
-    int x = a;
-    for (; x + V::width <= b; x += V::width) {
-      V acc = V::load(s.bc + x) * V::load(s.c + x);
-      for (int k = 0; k < S; ++k) {
-        acc = V::fma(V::load(s.bxm[k] + x), V::load(s.c + x - (k + 1)), acc);
-        acc = V::fma(V::load(s.bxp[k] + x), V::load(s.c + x + (k + 1)), acc);
-        acc = V::fma(V::load(s.bym[k] + x), V::load(s.rm[k] + x), acc);
-        acc = V::fma(V::load(s.byp[k] + x), V::load(s.rp[k] + x), acc);
-      }
-      acc.store(s.o + x);
-    }
-    for (; x < b; ++x) {
-      Sc acc = Sc::load(s.bc + x) * Sc::load(s.c + x);
-      for (int k = 0; k < S; ++k) {
-        acc = Sc::fma(Sc::load(s.bxm[k] + x), Sc::load(s.c + x - (k + 1)), acc);
-        acc = Sc::fma(Sc::load(s.bxp[k] + x), Sc::load(s.c + x + (k + 1)), acc);
-        acc = Sc::fma(Sc::load(s.bym[k] + x), Sc::load(s.rm[k] + x), acc);
-        acc = Sc::fma(Sc::load(s.byp[k] + x), Sc::load(s.rp[k] + x), acc);
-      }
-      acc.store(s.o + x);
-    }
-  }
 
   template <class V>
   int span(int t, int y, int x0, int x1) {

@@ -10,14 +10,12 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/options.hpp"
 #include "grid/grid3d.hpp"
 #include "simd/vecd.hpp"
 #include "threads/first_touch.hpp"
-#include "wave/temporal_vec.hpp"
 
 namespace cats {
 
@@ -33,9 +31,6 @@ class Banded3D {
   /// Engine-side temporal fusion is legal: value reads lie in the slope-S
   /// box at t-1 and band reads are time-invariant (wave/microkernel.hpp).
   static constexpr bool wave_fusable = true;
-  /// The TV row body evaluates the identical operation tree as process_row
-  /// (coefficients load same-x; only the value center row is shuffle-fed).
-  static constexpr bool tv_bit_exact = true;
 
   Banded3D(int width, int height, int depth)
       : buf_{Grid3D<T>(width, height, depth, S, kDeferFirstTouch),
@@ -135,101 +130,10 @@ class Banded3D {
     span<Sc>(t, y, z, x, x1);
   }
 
-  /// Temporally-vectorized row body (see ConstStar3D::process_row_tv): the
-  /// value center row is fed from a sliding register window; coefficient
-  /// bands and the y/z neighbor rows load same-x. Identical operation tree
-  /// per point as process_row (tv_bit_exact).
-  void process_row_tv(int t, int y, int z, int x0, int x1, bool nt) {
-    if (nt) {
-      row_tv<true>(t, y, z, x0, x1);
-    } else {
-      row_tv<false>(t, y, z, x0, x1);
-    }
-  }
-
  private:
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
   using NtV = typename simd::vec_traits<T>::Nt;
-
-  template <bool NT>
-  void row_tv(int t, int y, int z, int x0, int x1) {
-    using V = Vec;
-    constexpr int W = V::width;
-    constexpr int Q = (S + W - 1) / W;
-    const Grid3D<T>& src = buf_[(t - 1) & 1];
-    Grid3D<T>& dst = buf_[t & 1];
-    const T* c = src.row(y, z);
-    T* o = dst.row(y, z);
-    const T *rym[S], *ryp[S], *rzm[S], *rzp[S];
-    const T* bc = bands_[0].row(y, z);
-    const T *bxm[S], *bxp[S], *bym[S], *byp[S], *bzm[S], *bzp[S];
-    for (int k = 0; k < S; ++k) {
-      rym[k] = src.row(y - (k + 1), z);
-      ryp[k] = src.row(y + (k + 1), z);
-      rzm[k] = src.row(y, z - (k + 1));
-      rzp[k] = src.row(y, z + (k + 1));
-      const std::size_t base = static_cast<std::size_t>(6 * k);
-      bxm[k] = bands_[base + 1].row(y, z);
-      bxp[k] = bands_[base + 2].row(y, z);
-      bym[k] = bands_[base + 3].row(y, z);
-      byp[k] = bands_[base + 4].row(y, z);
-      bzm[k] = bands_[base + 5].row(y, z);
-      bzp[k] = bands_[base + 6].row(y, z);
-    }
-    auto emit = [&](V acc, int x) {
-      if constexpr (NT) {
-        NtV{acc}.store(o + x);
-      } else {
-        acc.store(o + x);
-      }
-    };
-    auto plain = [&](int x) {
-      V acc = V::load(bc + x) * V::load(c + x);
-      for (int k = 0; k < S; ++k) {
-        acc = V::fma(V::load(bxm[k] + x), V::load(c + x - (k + 1)), acc);
-        acc = V::fma(V::load(bxp[k] + x), V::load(c + x + (k + 1)), acc);
-        acc = V::fma(V::load(bym[k] + x), V::load(rym[k] + x), acc);
-        acc = V::fma(V::load(byp[k] + x), V::load(ryp[k] + x), acc);
-        acc = V::fma(V::load(bzm[k] + x), V::load(rzm[k] + x), acc);
-        acc = V::fma(V::load(bzp[k] + x), V::load(rzp[k] + x), acc);
-      }
-      return acc;
-    };
-    wave::ShiftWindow<V, T, S> win;
-    auto windowed = [&](int x) {
-      V acc = V::load(bc + x) * win.template get<0>();
-      [&]<std::size_t... K>(std::index_sequence<K...>) {
-        ((acc = V::fma(V::load(bxm[K] + x),
-                       win.template get<-(static_cast<int>(K) + 1)>(), acc),
-          acc = V::fma(V::load(bxp[K] + x),
-                       win.template get<static_cast<int>(K) + 1>(), acc),
-          acc = V::fma(V::load(bym[K] + x), V::load(rym[K] + x), acc),
-          acc = V::fma(V::load(byp[K] + x), V::load(ryp[K] + x), acc),
-          acc = V::fma(V::load(bzm[K] + x), V::load(rzm[K] + x), acc),
-          acc = V::fma(V::load(bzp[K] + x), V::load(rzp[K] + x), acc)),
-         ...);
-      }(std::make_index_sequence<S>{});
-      return acc;
-    };
-    // Window legality: reads [x - Q*W, x + (Q+1)*W) within the plain body's
-    // reach [x0 - S, x1 - 1 + S].
-    const int lo = x0 + Q * W - S;
-    const int hi = x1 + S - (Q + 1) * W;
-    int x = x0;
-    for (; x + W <= x1 && (x < lo || x > hi); x += W) emit(plain(x), x);
-    if (x + W <= x1 && x >= lo && x <= hi) {
-      win.prime(c, x);
-      emit(windowed(x), x);
-      x += W;
-      for (; x + W <= x1 && x <= hi; x += W) {
-        win.advance(c, x);
-        emit(windowed(x), x);
-      }
-    }
-    for (; x + W <= x1; x += W) emit(plain(x), x);
-    span<Sc>(t, y, z, x, x1);
-  }
 
   template <class V>
   int span(int t, int y, int z, int x0, int x1) {

@@ -17,15 +17,12 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/options.hpp"
-#include "core/stencil.hpp"  // WaveStage
 #include "grid/grid2d.hpp"
 #include "simd/vecd.hpp"
 #include "threads/first_touch.hpp"
-#include "wave/temporal_vec.hpp"
 
 namespace cats {
 
@@ -39,9 +36,10 @@ class ConstStar2D {
 
  public:
   static constexpr int kPoints = 4 * S + 1;
-  /// TV chain body evaluates the identical operation tree as the plain path
-  /// (see core/stencil.hpp kernel_tv_bit_exact).
-  static constexpr bool tv_bit_exact = true;
+
+  /// Engine-side temporal fusion is legal: all reads lie in the slope-S box
+  /// at t-1 (wave/microkernel.hpp stagger proof).
+  static constexpr bool wave_fusable = true;
 
   struct Weights {
     T center = 0;
@@ -133,176 +131,10 @@ class ConstStar2D {
     span<Sc>(t, y, x, x1);
   }
 
-  /// Register-tiled temporal micro-kernel (src/wave): sweep n <= 4 rows at
-  /// consecutive timesteps in x-staggered lockstep. Weights are broadcast
-  /// and row pointers resolved once for the whole group; the chunked
-  /// diagonal order below keeps stage g at least one chunk (>= S points)
-  /// ahead of stage g+1, which covers both the flow dependence (stage g+1
-  /// reads stage g's row at x +- S) and the WAR hazard (stage g+1 overwrites
-  /// the t-1 parity row that stage g still reads) — see
-  /// wave/microkernel.hpp for the stagger proof. Bit-exact with n separate
-  /// process_row calls: every point sees the identical operation tree.
-  void process_stages(const WaveStage* st, int n) {
-    using V = Vec;
-    // Chunk width: several vectors (amortizes the stage switch), and always
-    // >= S so the diagonal stagger satisfies the slope-S dependences.
-    constexpr int kChunk =
-        kWaveChunkVecs * V::width >= S
-            ? kWaveChunkVecs * V::width
-            : ((S + V::width - 1) / V::width) * V::width;
-    Stage sg[kMaxStages];
-    int base = st[0].x0;
-    int hi = st[0].x1;
-    resolve_stages(st, n, sg, base, hi);
-    const V wc = V::broadcast(w_.center);
-    V wxm[S], wxp[S], wym[S], wyp[S];
-    broadcast_weights<V>(wxm, wxp, wym, wyp);
-    const int chunks = (hi - base + kChunk - 1) / kChunk;
-    for (int j = 0; j < chunks + n - 1; ++j) {
-      for (int g = 0; g < n; ++g) {
-        const int ci = j - g;
-        if (ci < 0 || ci >= chunks) continue;
-        const Stage& s = sg[g];
-        const int a = std::max(s.x0, base + ci * kChunk);
-        const int b = std::min(s.x1, base + (ci + 1) * kChunk);
-        if (a >= b) continue;
-        if (s.nt) {
-          stage_chunk<true>(s, a, b, wc, wxm, wxp, wym, wyp);
-        } else {
-          stage_chunk<false>(s, a, b, wc, wxm, wxp, wym, wyp);
-        }
-      }
-    }
-  }
-
-  /// Temporally-vectorized chain body (wave/temporal_vec.hpp): the same n
-  /// fused timesteps, but interior vectors feed every center-row operand
-  /// from a sliding register window — one aligned load + shuffles per
-  /// vector instead of 2S+1 overlapping unaligned reloads. Identical
-  /// operation tree per point as process_stages, hence bit-exact
-  /// (tv_bit_exact).
-  void process_stages_tv(const WaveStage* st, int n) {
-    using V = Vec;
-    Stage sg[kMaxStages];
-    int base = st[0].x0;
-    int hi = st[0].x1;
-    resolve_stages(st, n, sg, base, hi);
-    const V wc = V::broadcast(w_.center);
-    V wxm[S], wxp[S], wym[S], wyp[S];
-    broadcast_weights<V>(wxm, wxp, wym, wyp);
-    auto win_body = [&](const Stage& s, int x, const auto& win) {
-      V acc = wc * win.template get<0>();
-      [&]<std::size_t... K>(std::index_sequence<K...>) {
-        ((acc = V::fma(wxm[K], win.template get<-(static_cast<int>(K) + 1)>(),
-                       acc),
-          acc = V::fma(wxp[K], win.template get<static_cast<int>(K) + 1>(),
-                       acc),
-          acc = V::fma(wym[K], V::load(s.rm[K] + x), acc),
-          acc = V::fma(wyp[K], V::load(s.rp[K] + x), acc)),
-         ...);
-      }(std::make_index_sequence<S>{});
-      return acc;
-    };
-    auto vec_body = [&](const Stage& s, int x) {
-      V acc = wc * V::load(s.c + x);
-      for (int k = 0; k < S; ++k) {
-        acc = V::fma(wxm[k], V::load(s.c + x - (k + 1)), acc);
-        acc = V::fma(wxp[k], V::load(s.c + x + (k + 1)), acc);
-        acc = V::fma(wym[k], V::load(s.rm[k] + x), acc);
-        acc = V::fma(wyp[k], V::load(s.rp[k] + x), acc);
-      }
-      return acc;
-    };
-    auto sc_body = [&](const Stage& s, int a, int b) { scalar_span(s, a, b); };
-    wave::run_stages_tv<S, V, NtV, T>(sg, n, win_body, vec_body, sc_body);
-  }
-
  private:
-  static constexpr int kMaxStages = 4;
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
   using NtV = typename simd::vec_traits<T>::Nt;
-
-  struct Stage {
-    const T* c;
-    T* o;
-    const T* rm[S];
-    const T* rp[S];
-    int x0, x1;
-    bool nt;
-  };
-
-  void resolve_stages(const WaveStage* st, int n, Stage* sg, int& base,
-                      int& hi) {
-    for (int g = 0; g < n; ++g) {
-      const Grid2D<T>& src = buf_[(st[g].t - 1) & 1];
-      Grid2D<T>& dst = buf_[st[g].t & 1];
-      Stage& s = sg[g];
-      s.c = src.row(st[g].y);
-      s.o = dst.row(st[g].y);
-      for (int k = 0; k < S; ++k) {
-        s.rm[k] = src.row(st[g].y - (k + 1));
-        s.rp[k] = src.row(st[g].y + (k + 1));
-      }
-      s.x0 = st[g].x0;
-      s.x1 = st[g].x1;
-      s.nt = st[g].nt;
-      base = std::min(base, st[g].x0);
-      hi = std::max(hi, st[g].x1);
-    }
-  }
-
-  template <class V>
-  void broadcast_weights(V* wxm, V* wxp, V* wym, V* wyp) const {
-    for (int k = 0; k < S; ++k) {
-      wxm[k] = V::broadcast(w_.xm[static_cast<std::size_t>(k)]);
-      wxp[k] = V::broadcast(w_.xp[static_cast<std::size_t>(k)]);
-      wym[k] = V::broadcast(w_.ym[static_cast<std::size_t>(k)]);
-      wyp[k] = V::broadcast(w_.yp[static_cast<std::size_t>(k)]);
-    }
-  }
-
-  /// Scalar points [a, b) of one stage (plain stores — NT applies only to
-  /// full vectors).
-  void scalar_span(const Stage& s, int a, int b) {
-    const Sc sc = Sc::broadcast(w_.center);
-    for (int x = a; x < b; ++x) {
-      Sc acc = sc * Sc::load(s.c + x);
-      for (int k = 0; k < S; ++k) {
-        const auto i = static_cast<std::size_t>(k);
-        acc = Sc::fma(Sc::broadcast(w_.xm[i]), Sc::load(s.c + x - (k + 1)), acc);
-        acc = Sc::fma(Sc::broadcast(w_.xp[i]), Sc::load(s.c + x + (k + 1)), acc);
-        acc = Sc::fma(Sc::broadcast(w_.ym[i]), Sc::load(s.rm[k] + x), acc);
-        acc = Sc::fma(Sc::broadcast(w_.yp[i]), Sc::load(s.rp[k] + x), acc);
-      }
-      acc.store(s.o + x);
-    }
-  }
-
-  /// One x-chunk of one stage: the vector body of span<Vec> with hoisted
-  /// weights, plus the scalar tail for the chunk's ragged end. NT selects
-  /// the streaming store (aligned fast path, plain store otherwise).
-  template <bool NT>
-  void stage_chunk(const Stage& s, int a, int b, Vec wc, const Vec* wxm,
-                   const Vec* wxp, const Vec* wym, const Vec* wyp) {
-    using V = Vec;
-    int x = a;
-    for (; x + V::width <= b; x += V::width) {
-      V acc = wc * V::load(s.c + x);
-      for (int k = 0; k < S; ++k) {
-        acc = V::fma(wxm[k], V::load(s.c + x - (k + 1)), acc);
-        acc = V::fma(wxp[k], V::load(s.c + x + (k + 1)), acc);
-        acc = V::fma(wym[k], V::load(s.rm[k] + x), acc);
-        acc = V::fma(wyp[k], V::load(s.rp[k] + x), acc);
-      }
-      if constexpr (NT) {
-        NtV{acc}.store(s.o + x);
-      } else {
-        acc.store(s.o + x);
-      }
-    }
-    scalar_span(s, x, b);
-  }
 
   /// Process x in [x0, x1) in V-width steps; returns the first unprocessed x.
   template <class V>
@@ -319,7 +151,13 @@ class ConstStar2D {
     }
     const V wc = V::broadcast(w_.center);
     V wxm[S], wxp[S], wym[S], wyp[S];
-    broadcast_weights<V>(wxm, wxp, wym, wyp);
+    for (int k = 0; k < S; ++k) {
+      const auto i = static_cast<std::size_t>(k);
+      wxm[k] = V::broadcast(w_.xm[i]);
+      wxp[k] = V::broadcast(w_.xp[i]);
+      wym[k] = V::broadcast(w_.ym[i]);
+      wyp[k] = V::broadcast(w_.yp[i]);
+    }
     int x = x0;
     for (; x + V::width <= x1; x += V::width) {
       V acc = wc * V::load(c + x);

@@ -12,14 +12,12 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/options.hpp"
 #include "grid/grid3d.hpp"
 #include "simd/vecd.hpp"
 #include "threads/first_touch.hpp"
-#include "wave/temporal_vec.hpp"
 
 namespace cats {
 
@@ -35,9 +33,6 @@ class ConstStar3D {
   /// Engine-side temporal fusion is legal: all reads lie in the slope-S box
   /// at t-1 (wave/microkernel.hpp stagger proof).
   static constexpr bool wave_fusable = true;
-  /// The TV row body evaluates the identical operation tree as process_row
-  /// (see core/stencil.hpp kernel_tv_bit_exact).
-  static constexpr bool tv_bit_exact = true;
 
   struct Weights {
     T center = 0;
@@ -123,117 +118,18 @@ class ConstStar3D {
   }
 
   /// Non-temporal write-back path: same arithmetic as process_row, stores
-  /// stream past the cache (the 3D micro-kernel specialization — 3D
-  /// temporal fusion interleaves whole rows engine-side, so the NT store is
-  /// the only per-kernel piece). Caller must store_fence() before
-  /// publishing.
+  /// stream past the cache. Temporal fusion interleaves whole rows
+  /// engine-side, so the NT store is the only per-kernel piece. Caller must
+  /// store_fence() before publishing.
   void process_row_nt(int t, int y, int z, int x0, int x1) {
     const int x = span<NtV>(t, y, z, x0, x1);
     span<Sc>(t, y, z, x, x1);
-  }
-
-  /// Temporally-vectorized row body (wave/temporal_vec.hpp): the window-legal
-  /// interior builds every center-row x-neighborhood from a sliding register
-  /// window (one aligned load + shuffles per vector instead of 2S+1
-  /// overlapping unaligned reloads); edge vectors and the scalar tail use the
-  /// plain body. 3D chains interleave whole rows engine-side (run_fused_3d_tv
-  /// drives this per row), so unlike 2D there is no cross-stage register
-  /// forwarding — consumed rows were produced S row-steps earlier. `nt`
-  /// selects the streaming store on full vectors. Identical operation tree
-  /// per point as process_row (tv_bit_exact).
-  void process_row_tv(int t, int y, int z, int x0, int x1, bool nt) {
-    if (nt) {
-      row_tv<true>(t, y, z, x0, x1);
-    } else {
-      row_tv<false>(t, y, z, x0, x1);
-    }
   }
 
  private:
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
   using NtV = typename simd::vec_traits<T>::Nt;
-
-  template <bool NT>
-  void row_tv(int t, int y, int z, int x0, int x1) {
-    using V = Vec;
-    constexpr int W = V::width;
-    constexpr int Q = (S + W - 1) / W;
-    const Grid3D<T>& src = buf_[(t - 1) & 1];
-    Grid3D<T>& dst = buf_[t & 1];
-    const T* c = src.row(y, z);
-    T* o = dst.row(y, z);
-    const T *rym[S], *ryp[S], *rzm[S], *rzp[S];
-    for (int k = 0; k < S; ++k) {
-      rym[k] = src.row(y - (k + 1), z);
-      ryp[k] = src.row(y + (k + 1), z);
-      rzm[k] = src.row(y, z - (k + 1));
-      rzp[k] = src.row(y, z + (k + 1));
-    }
-    const V wc = V::broadcast(w_.center);
-    V wxm[S], wxp[S], wym[S], wyp[S], wzm[S], wzp[S];
-    for (int k = 0; k < S; ++k) {
-      const auto i = static_cast<std::size_t>(k);
-      wxm[k] = V::broadcast(w_.xm[i]);
-      wxp[k] = V::broadcast(w_.xp[i]);
-      wym[k] = V::broadcast(w_.ym[i]);
-      wyp[k] = V::broadcast(w_.yp[i]);
-      wzm[k] = V::broadcast(w_.zm[i]);
-      wzp[k] = V::broadcast(w_.zp[i]);
-    }
-    auto emit = [&](V acc, int x) {
-      if constexpr (NT) {
-        NtV{acc}.store(o + x);
-      } else {
-        acc.store(o + x);
-      }
-    };
-    auto plain = [&](int x) {
-      V acc = wc * V::load(c + x);
-      for (int k = 0; k < S; ++k) {
-        acc = V::fma(wxm[k], V::load(c + x - (k + 1)), acc);
-        acc = V::fma(wxp[k], V::load(c + x + (k + 1)), acc);
-        acc = V::fma(wym[k], V::load(rym[k] + x), acc);
-        acc = V::fma(wyp[k], V::load(ryp[k] + x), acc);
-        acc = V::fma(wzm[k], V::load(rzm[k] + x), acc);
-        acc = V::fma(wzp[k], V::load(rzp[k] + x), acc);
-      }
-      return acc;
-    };
-    wave::ShiftWindow<V, T, S> win;
-    auto windowed = [&](int x) {
-      V acc = wc * win.template get<0>();
-      [&]<std::size_t... K>(std::index_sequence<K...>) {
-        ((acc = V::fma(wxm[K], win.template get<-(static_cast<int>(K) + 1)>(),
-                       acc),
-          acc = V::fma(wxp[K], win.template get<static_cast<int>(K) + 1>(),
-                       acc),
-          acc = V::fma(wym[K], V::load(rym[K] + x), acc),
-          acc = V::fma(wyp[K], V::load(ryp[K] + x), acc),
-          acc = V::fma(wzm[K], V::load(rzm[K] + x), acc),
-          acc = V::fma(wzp[K], V::load(rzp[K] + x), acc)),
-         ...);
-      }(std::make_index_sequence<S>{});
-      return acc;
-    };
-    // Window legality: reads [x - Q*W, x + (Q+1)*W) within the plain body's
-    // reach [x0 - S, x1 - 1 + S].
-    const int lo = x0 + Q * W - S;
-    const int hi = x1 + S - (Q + 1) * W;
-    int x = x0;
-    for (; x + W <= x1 && (x < lo || x > hi); x += W) emit(plain(x), x);
-    if (x + W <= x1 && x >= lo && x <= hi) {
-      win.prime(c, x);
-      emit(windowed(x), x);
-      x += W;
-      for (; x + W <= x1 && x <= hi; x += W) {
-        win.advance(c, x);
-        emit(windowed(x), x);
-      }
-    }
-    for (; x + W <= x1; x += W) emit(plain(x), x);
-    span<Sc>(t, y, z, x, x1);
-  }
 
   template <class V>
   int span(int t, int y, int z, int x0, int x1) {

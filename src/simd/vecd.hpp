@@ -72,23 +72,6 @@ struct VecD {
   static VecD fma(VecD a, VecD b, VecD c) {
     return {_mm512_fmadd_pd(a.v, b.v, c.v)};
   }
-  /// Lane-concatenating extract: lane i of the result is lane i+K of the
-  /// 2*width-lane concatenation a:b (K in [0, width]). This is the register
-  /// shift-combine the temporal-vectorized micro-kernels build every
-  /// x-neighborhood from — two aligned loads plus one shuffle replace each
-  /// unaligned reload.
-  template <int K>
-  static VecD shuffle(VecD a, VecD b) {
-    static_assert(K >= 0 && K <= width);
-    if constexpr (K == 0) {
-      return a;
-    } else if constexpr (K == width) {
-      return b;
-    } else {
-      return {_mm512_castsi512_pd(_mm512_alignr_epi64(
-          _mm512_castpd_si512(b.v), _mm512_castpd_si512(a.v), K))};
-    }
-  }
   double hsum() const { return _mm512_reduce_add_pd(v); }
 };
 inline constexpr const char* kIsaName = "AVX-512F";
@@ -118,24 +101,6 @@ struct VecD {
     return a * b + c;
 #endif
   }
-  /// See the AVX-512 overload: lane i of the result = lane i+K of a:b.
-  template <int K>
-  static VecD shuffle(VecD a, VecD b) {
-    static_assert(K >= 0 && K <= width);
-    if constexpr (K == 0) {
-      return a;
-    } else if constexpr (K == width) {
-      return b;
-    } else if constexpr (K == 2) {
-      return {_mm256_permute2f128_pd(a.v, b.v, 0x21)};
-    } else if constexpr (K == 1) {
-      const __m256d t = _mm256_permute2f128_pd(a.v, b.v, 0x21);  // a2 a3 b0 b1
-      return {_mm256_shuffle_pd(a.v, t, 0b0101)};                // a1 a2 a3 b0
-    } else {  // K == 3
-      const __m256d t = _mm256_permute2f128_pd(a.v, b.v, 0x21);  // a2 a3 b0 b1
-      return {_mm256_shuffle_pd(t, b.v, 0b0101)};                // a3 b0 b1 b2
-    }
-  }
   double hsum() const {
     __m128d lo = _mm256_castpd256_pd128(v);
     __m128d hi = _mm256_extractf128_pd(v, 1);
@@ -164,18 +129,6 @@ struct VecD {
   friend VecD operator-(VecD a, VecD b) { return {_mm_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm_mul_pd(a.v, b.v)}; }
   static VecD fma(VecD a, VecD b, VecD c) { return a * b + c; }
-  /// See the AVX-512 overload: lane i of the result = lane i+K of a:b.
-  template <int K>
-  static VecD shuffle(VecD a, VecD b) {
-    static_assert(K >= 0 && K <= width);
-    if constexpr (K == 0) {
-      return a;
-    } else if constexpr (K == width) {
-      return b;
-    } else {  // K == 1
-      return {_mm_shuffle_pd(a.v, b.v, 1)};  // a1 b0
-    }
-  }
   double hsum() const {
     return _mm_cvtsd_f64(_mm_add_sd(v, _mm_unpackhi_pd(v, v)));
   }
@@ -200,13 +153,6 @@ struct VecD {
   friend VecD operator-(VecD a, VecD b) { return {a.v - b.v}; }
   friend VecD operator*(VecD a, VecD b) { return {a.v * b.v}; }
   static VecD fma(VecD a, VecD b, VecD c) { return {a.v * b.v + c.v}; }
-  /// Degenerate width-1 shuffle: K == 0 selects a, K == 1 (== width) b.
-  template <int K>
-  static VecD shuffle(VecD a, VecD b) {
-    static_assert(K >= 0 && K <= width);
-    if constexpr (K == 0) return a;
-    else return b;
-  }
   double hsum() const { return v; }
 };
 inline constexpr const char* kIsaName = "scalar";
@@ -236,19 +182,6 @@ struct VecF {
   static VecF fma(VecF a, VecF b, VecF c) {
     return {_mm512_fmadd_ps(a.v, b.v, c.v)};
   }
-  /// See VecD::shuffle: lane i of the result = lane i+K of a:b.
-  template <int K>
-  static VecF shuffle(VecF a, VecF b) {
-    static_assert(K >= 0 && K <= width);
-    if constexpr (K == 0) {
-      return a;
-    } else if constexpr (K == width) {
-      return b;
-    } else {
-      return {_mm512_castsi512_ps(_mm512_alignr_epi32(
-          _mm512_castps_si512(b.v), _mm512_castps_si512(a.v), K))};
-    }
-  }
 };
 
 #elif defined(__AVX2__) || defined(__AVX__)
@@ -275,33 +208,6 @@ struct VecF {
     return a * b + c;
 #endif
   }
-  /// See VecD::shuffle: lane i of the result = lane i+K of a:b. With AVX2 a
-  /// pair of cross-lane permutes plus a blend does it in-register; plain AVX
-  /// has no 32-bit cross-lane permute, so it round-trips through a stack
-  /// buffer (still branch-free and correct, just slower).
-  template <int K>
-  static VecF shuffle(VecF a, VecF b) {
-    static_assert(K >= 0 && K <= width);
-    if constexpr (K == 0) {
-      return a;
-    } else if constexpr (K == width) {
-      return b;
-    } else {
-#if defined(__AVX2__)
-      const __m256i idx = _mm256_setr_epi32(
-          (0 + K) & 7, (1 + K) & 7, (2 + K) & 7, (3 + K) & 7, (4 + K) & 7,
-          (5 + K) & 7, (6 + K) & 7, (7 + K) & 7);
-      const __m256 pa = _mm256_permutevar8x32_ps(a.v, idx);
-      const __m256 pb = _mm256_permutevar8x32_ps(b.v, idx);
-      return {_mm256_blend_ps(pa, pb, (0xFF << (8 - K)) & 0xFF)};
-#else
-      alignas(32) float tmp[16];
-      a.store_aligned(tmp);
-      b.store_aligned(tmp + 8);
-      return load(tmp + K);
-#endif
-    }
-  }
 };
 
 #elif defined(CATS_SSE2_ONLY)
@@ -322,24 +228,6 @@ struct VecF {
   friend VecF operator-(VecF a, VecF b) { return {_mm_sub_ps(a.v, b.v)}; }
   friend VecF operator*(VecF a, VecF b) { return {_mm_mul_ps(a.v, b.v)}; }
   static VecF fma(VecF a, VecF b, VecF c) { return a * b + c; }
-  /// See VecD::shuffle: lane i of the result = lane i+K of a:b.
-  template <int K>
-  static VecF shuffle(VecF a, VecF b) {
-    static_assert(K >= 0 && K <= width);
-    if constexpr (K == 0) {
-      return a;
-    } else if constexpr (K == width) {
-      return b;
-    } else if constexpr (K == 2) {
-      return {_mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(1, 0, 3, 2))};  // a2 a3 b0 b1
-    } else if constexpr (K == 1) {
-      const __m128 t = _mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(0, 0, 3, 3));
-      return {_mm_shuffle_ps(a.v, t, _MM_SHUFFLE(2, 0, 2, 1))};  // a1 a2 a3 b0
-    } else {  // K == 3
-      const __m128 t = _mm_shuffle_ps(a.v, b.v, _MM_SHUFFLE(0, 0, 3, 3));
-      return {_mm_shuffle_ps(t, b.v, _MM_SHUFFLE(2, 1, 2, 0))};  // a3 b0 b1 b2
-    }
-  }
 };
 
 #else
@@ -359,88 +247,9 @@ struct VecF {
   friend VecF operator-(VecF a, VecF b) { return {a.v - b.v}; }
   friend VecF operator*(VecF a, VecF b) { return {a.v * b.v}; }
   static VecF fma(VecF a, VecF b, VecF c) { return {a.v * b.v + c.v}; }
-  /// Degenerate width-1 shuffle: K == 0 selects a, K == 1 (== width) b.
-  template <int K>
-  static VecF shuffle(VecF a, VecF b) {
-    static_assert(K >= 0 && K <= width);
-    if constexpr (K == 0) return a;
-    else return b;
-  }
 };
 
 #endif
-
-/// In-register lane rotation: lane i of the result is lane (i+K) mod width of
-/// v. rotate<K>(v) == shuffle<K>(v, v); the temporal-vectorized kernels use
-/// shuffle directly (two source registers), rotate is the single-register
-/// convenience form.
-template <int K, class V>
-inline V rotate(V v) {
-  return V::template shuffle<K>(v, v);
-}
-
-#if defined(__AVX2__) || defined(__AVX__)
-#if !defined(__AVX512F__)
-/// In-register 4x4 transpose of four width-4 double vectors (classic
-/// unpack + 128-bit-lane permute ladder).
-inline void transpose4x4(VecD& r0, VecD& r1, VecD& r2, VecD& r3) {
-  const __m256d t0 = _mm256_unpacklo_pd(r0.v, r1.v);  // r00 r10 r02 r12
-  const __m256d t1 = _mm256_unpackhi_pd(r0.v, r1.v);  // r01 r11 r03 r13
-  const __m256d t2 = _mm256_unpacklo_pd(r2.v, r3.v);  // r20 r30 r22 r32
-  const __m256d t3 = _mm256_unpackhi_pd(r2.v, r3.v);  // r21 r31 r23 r33
-  r0.v = _mm256_permute2f128_pd(t0, t2, 0x20);
-  r1.v = _mm256_permute2f128_pd(t1, t3, 0x20);
-  r2.v = _mm256_permute2f128_pd(t0, t2, 0x31);
-  r3.v = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-#endif
-#elif defined(CATS_SSE2_ONLY)
-/// In-register 4x4 transpose of four width-4 float vectors.
-inline void transpose4x4(VecF& r0, VecF& r1, VecF& r2, VecF& r3) {
-  _MM_TRANSPOSE4_PS(r0.v, r1.v, r2.v, r3.v);
-}
-#endif
-
-/// Generic 4x4 transpose of the leading 4x4 lane block of four vectors;
-/// lanes >= 4 pass through unchanged. Dedicated in-register overloads above
-/// take precedence where the ISA has a cheap ladder; this fallback
-/// round-trips through an aligned stack tile, which is fine off the hot path
-/// (the temporal-vectorization scheme advances state with shuffle/rotate and
-/// only needs transposes for layout packing/unpacking at chain boundaries).
-template <class V>
-  requires(V::width >= 4)
-inline void transpose4x4(V& r0, V& r1, V& r2, V& r3) {
-  using T = typename V::elem_t;
-  alignas(64) T m[4][V::width];
-  r0.store_aligned(m[0]);
-  r1.store_aligned(m[1]);
-  r2.store_aligned(m[2]);
-  r3.store_aligned(m[3]);
-  for (int i = 0; i < 4; ++i) {
-    for (int j = i + 1; j < 4; ++j) {
-      const T t = m[i][j];
-      m[i][j] = m[j][i];
-      m[j][i] = t;
-    }
-  }
-  r0 = V::load_aligned(m[0]);
-  r1 = V::load_aligned(m[1]);
-  r2 = V::load_aligned(m[2]);
-  r3 = V::load_aligned(m[3]);
-}
-
-/// Scalar 4x4 tile transpose — the width-agnostic form narrow builds (SSE2
-/// VecD, scalar fallback) can always use.
-template <class T>
-inline void transpose4x4(T (&m)[4][4]) {
-  for (int i = 0; i < 4; ++i) {
-    for (int j = i + 1; j < 4; ++j) {
-      const T t = m[i][j];
-      m[i][j] = m[j][i];
-      m[j][i] = t;
-    }
-  }
-}
 
 /// Scalar float twin of VecF (see ScalarD below for the rationale).
 struct ScalarF {

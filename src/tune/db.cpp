@@ -87,7 +87,6 @@ bool TuneDb::load(const std::string& path) {
                          e.get_int("run_threads", r.entry.run_threads) &&
                          e.get_int("nt_stores", r.entry.nt_stores) &&
                          e.get_int("unroll_t", r.entry.unroll_t) &&
-                         e.get_int("temporal_vec", r.entry.temporal_vec) &&
                          e.get_int("mwd_group", r.entry.mwd_group) &&
                          e.get_int("prefetch_dist", r.entry.prefetch_dist) &&
                          e.get_int("cache_bytes", r.entry.cache_bytes);
@@ -125,7 +124,6 @@ bool TuneDb::save(const std::string& path) const {
        << "\"affinity\": " << json_quote(r.entry.affinity) << ", "
        << "\"nt_stores\": " << r.entry.nt_stores << ", "
        << "\"unroll_t\": " << r.entry.unroll_t << ", "
-       << "\"temporal_vec\": " << r.entry.temporal_vec << ", "
        << "\"mwd_group\": " << r.entry.mwd_group << ", "
        << "\"prefetch_dist\": " << r.entry.prefetch_dist << ", "
        << "\"pilot_seconds\": " << json_number(r.entry.pilot_seconds) << ", "

@@ -44,7 +44,6 @@ struct DbEntry {
   // keep the caller's RunOptions value, matching pre-wave DB files.
   int nt_stores = -1;      ///< -1 keep; 0 off; 1 on
   int unroll_t = -1;       ///< -1 keep; else RunOptions::unroll_t
-  int temporal_vec = -1;   ///< -1 keep; 0 off; 1 on (RunOptions::temporal_vec)
   int mwd_group = 0;       ///< 0 keep; else RunOptions::mwd_group
   int prefetch_dist = -1;  ///< -1 keep; else RunOptions::prefetch_dist
   double pilot_seconds = 0.0;     ///< best pilot time

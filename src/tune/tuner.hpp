@@ -32,8 +32,8 @@ struct TuneConfig {
   bool tune_threads = true;      ///< re-time the winner at threads/2
   bool tune_affinity = true;     ///< re-time the winner under each pin policy
   bool tune_wave = true;         ///< re-time the winner along the wave axes
-                                 ///< (nt_stores / unroll_t / temporal_vec /
-                                 ///< mwd_group / prefetch_dist, src/wave)
+                                 ///< (nt_stores / unroll_t / mwd_group /
+                                 ///< prefetch_dist, src/wave)
 };
 
 /// One point of the search grid. `threads` 0 = the caller's thread count;
@@ -49,7 +49,6 @@ struct Candidate {
   int affinity = -1;
   int nt_stores = -1;      ///< -1 caller's; 0 off; 1 on
   int unroll_t = -1;       ///< -1 caller's; else RunOptions::unroll_t
-  int temporal_vec = -1;   ///< -1 caller's; 0 off; 1 on
   int mwd_group = 0;       ///< 0 caller's; else RunOptions::mwd_group
   int prefetch_dist = -1;  ///< -1 caller's; else RunOptions::prefetch_dist
 };
@@ -191,13 +190,6 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
         c.unroll_t = u;
         probe(c);
       }
-      {
-        // Temporal vectorization only matters where a fused chain forms, so
-        // probe it after the unroll axis settled (it rides on the winner).
-        Candidate c = res.best;
-        c.temporal_vec = base.temporal_vec ? 0 : 1;
-        probe(c);
-      }
       // MWD group-width axis: pooling g threads on one diamond trades tube
       // parallelism for sqrt(g) wider diamonds (plan/emit.hpp emit_mwd).
       // Only widths that tile the worker pool are legal (mwd_group_width),
@@ -241,7 +233,6 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
           : affinity_policy_name(static_cast<AffinityPolicy>(res.best.affinity));
   res.entry.nt_stores = res.best.nt_stores;
   res.entry.unroll_t = res.best.unroll_t;
-  res.entry.temporal_vec = res.best.temporal_vec;
   res.entry.mwd_group = res.best.mwd_group;
   res.entry.prefetch_dist = res.best.prefetch_dist;
   res.entry.pilot_seconds = res.best_seconds;

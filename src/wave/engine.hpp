@@ -14,15 +14,17 @@
 // walk and a CATS2/3 tube's per-w time run; naive/PluTo SkewedBlock slabs
 // carry wavefront = t and never chain. Groups cap at the resolved unroll
 // (<= 4) and flush on any break, so reordering never crosses a tile's entry
-// waits or its publish.
+// waits or its publish. A group of any size, one stage included, flushes
+// through run_fused_2d / run_fused_3d (wave/microkernel.hpp), which call
+// the kernel's own process_row / process_row_nt.
 //
 // Fusion is resolved off when it cannot be proven equivalent or observed
 // soundly: under an attached dependence oracle (note_row would stamp whole
-// rows out of the oracle's expected order), for kernels not opting in
-// (wave/microkernel.hpp), and for the scalar baseline path (measured as
-// plain C on purpose). MWD group members still fuse: they receive
-// *full-width* wavefront slabs (whole chain links, wave/mwd.hpp), so the
-// stagger proof applies unchanged.
+// rows out of the oracle's expected order), for kernels not declaring
+// wave_fusable (the only fusion hook, wave/microkernel.hpp), and for the
+// scalar baseline path (measured as plain C on purpose). MWD group members
+// still fuse: they receive *full-width* wavefront slabs (whole chain links,
+// wave/mwd.hpp), so the stagger proof applies unchanged.
 //
 // NT stores apply only to *trailing* slabs (Slab::trailing: the tile's top
 // timestep in a wavefront scheme) of NT-eligible plans
@@ -43,9 +45,8 @@
 
 namespace cats::wave {
 
-/// Largest fused group: 4 timesteps — past that, live rows and the register
-/// working set outgrow what the micro-kernels can hold (core/options.hpp
-/// unroll_t).
+/// Largest fused group: 4 timesteps — past that, the group's live rows
+/// outgrow what stays cache-hot between stages (core/options.hpp unroll_t).
 inline constexpr int kMaxUnroll = 4;
 // core/selector.cpp sanitize_unroll_t hardcodes this bound (the selector
 // layer does not include the wave engine); keep them in sync.
@@ -76,11 +77,8 @@ class WaveWalker2D {
       if constexpr (kernel_has_row_nt_2d<K>) {
         nt_ = opt.nt_stores && plan_ir::nt_store_eligible(p);
       }
-      if constexpr (kernel_has_process_stages<K>) {
+      if constexpr (wave_fusable_v<K>) {
         unroll_ = detail::resolve_unroll(opt);
-      }
-      if constexpr (kernel_has_process_stages_tv<K>) {
-        tv_ = opt.temporal_vec;
       }
     }
   }
@@ -95,7 +93,7 @@ class WaveWalker2D {
     }
     const int x0 = static_cast<int>(sl.box.xlo);
     const int x1 = static_cast<int>(sl.box.xhi) + 1;
-    if constexpr (!Scalar && kernel_has_process_stages<K>) {
+    if constexpr (!Scalar && wave_fusable_v<K>) {
       if (unroll_ > 1 && sl.box.ylo == sl.box.yhi) {
         const int y = static_cast<int>(sl.box.ylo);
         if (n_ > 0 &&
@@ -144,32 +142,10 @@ class WaveWalker2D {
   }
 
   void flush() {
-    if constexpr (!Scalar && kernel_has_process_stages<K>) {
+    if constexpr (!Scalar && wave_fusable_v<K>) {
       if (n_ == 0) return;
-      if (n_ == 1) {
-        // Degenerate chain: the plain row path, no stagger needed.
-        const WaveStage& s = buf_[0];
-        if constexpr (kernel_has_row_nt_2d<K>) {
-          if (s.nt) {
-            k_->process_row_nt(s.t, s.y, s.x0, s.x1);
-            fence_pending_ = true;
-            n_ = 0;
-            return;
-          }
-        }
-        k_->process_row(s.t, s.y, s.x0, s.x1);
-      } else {
-        if constexpr (kernel_has_process_stages_tv<K>) {
-          if (tv_) {
-            k_->process_stages_tv(buf_, n_);
-            for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
-            n_ = 0;
-            return;
-          }
-        }
-        k_->process_stages(buf_, n_);
-        for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
-      }
+      run_fused_2d(*k_, buf_, n_);
+      for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
       n_ = 0;
     }
   }
@@ -179,7 +155,6 @@ class WaveWalker2D {
   int unroll_ = 1;
   int pf_ = 0;
   bool nt_ = false;
-  bool tv_ = false;
   bool fence_pending_ = false;
   std::int64_t wave_ = 0;
   int n_ = 0;
@@ -198,9 +173,6 @@ class WaveWalker3D {
       }
       if constexpr (wave_fusable_v<K>) {
         unroll_ = detail::resolve_unroll(opt);
-      }
-      if constexpr (kernel_has_row_tv_3d<K>) {
-        tv_ = opt.temporal_vec;
       }
     }
   }
@@ -272,30 +244,8 @@ class WaveWalker3D {
   void flush() {
     if constexpr (!Scalar && wave_fusable_v<K>) {
       if (n_ == 0) return;
-      if (n_ == 1) {
-        const Stage3& s = buf_[0];
-        for (int y = s.ylo; y <= s.yhi; ++y) {
-          if constexpr (kernel_has_row_nt_3d<K>) {
-            if (s.nt) {
-              k_->process_row_nt(s.t, y, s.z, s.x0, s.x1);
-              continue;
-            }
-          }
-          k_->process_row(s.t, y, s.z, s.x0, s.x1);
-        }
-        fence_pending_ |= s.nt;
-      } else {
-        if constexpr (kernel_has_row_tv_3d<K>) {
-          if (tv_) {
-            run_fused_3d_tv(*k_, buf_, n_, slope_);
-            for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
-            n_ = 0;
-            return;
-          }
-        }
-        run_fused_3d(*k_, buf_, n_, slope_);
-        for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
-      }
+      run_fused_3d(*k_, buf_, n_, slope_);
+      for (int g = 0; g < n_; ++g) fence_pending_ |= buf_[g].nt;
       n_ = 0;
     }
   }
@@ -305,7 +255,6 @@ class WaveWalker3D {
   int unroll_ = 1;
   int pf_ = 0;
   bool nt_ = false;
-  bool tv_ = false;
   bool fence_pending_ = false;
   std::int64_t wave_ = 0;
   int n_ = 0;

@@ -31,12 +31,12 @@
 //
 // Both obligations reduce to "stage g stays >= s positions ahead of stage
 // g+1, counting a position complete only when fully computed". The 2D driver
-// (kernel process_stages, e.g. kernels/const2d.hpp) staggers stages by
-// x-chunks of >= s points along the fused rows; the 3D driver below staggers
-// whole x-rows by exactly s rows in y, running stages in ascending order
-// within a step so stage g's row r+s finishes before stage g+1 touches row
-// r. Every point still sees the identical operation tree as the unfused
-// walk, so fusion is bit-exact (simd/vecd.hpp lane contract).
+// below staggers stages by x-chunks of >= s points along the fused rows; the
+// 3D driver staggers whole x-rows by exactly s rows in y. Both run stages in
+// ascending order within a step, so stage g's chunk/row ahead finishes
+// before stage g+1 touches the one behind it. Both call only the kernel's
+// own process_row / process_row_nt, so every point is computed by the same
+// row body as in the unfused walk and fusion is bit-exact by construction.
 
 #include <algorithm>
 
@@ -54,6 +54,56 @@ template <class K>
 constexpr bool wave_fusable_v = requires {
   requires K::wave_fusable;
 };
+
+/// Bytes per x-chunk of the 2D diagonal schedule: 512 fp64 or 1024 fp32
+/// points. Wide enough to amortize the per-chunk row-pointer and weight
+/// setup of process_row, narrow enough that a group's live rows stay close;
+/// always far above the s <= 4 points the stagger needs.
+inline constexpr int kWaveChunkBytes = 4096;
+
+/// One slab of a 2D fused group: row y at timestep t, [x0, x1) half-open
+/// like process_row. The engine builds stages from consecutive wavefront-
+/// chain slabs, t ascending by 1 and y descending by s.
+struct WaveStage {
+  int t = 0;
+  int y = 0;
+  int x0 = 0, x1 = 0;
+  bool nt = false;  ///< stream this stage's stores (trailing wavefront)
+};
+
+/// Chunk-diagonal 2D group sweep: the union of the stages' x-ranges is cut
+/// into chunks from the leftmost x0, and at diagonal step j stage g runs
+/// chunk j - g, clipped to its own [x0, x1). Ascending g within a step keeps
+/// stage g one whole chunk ahead of stage g+1. A one-stage group is the
+/// plain row walk, chunk by chunk.
+template <class K>
+void run_fused_2d(K& k, const WaveStage* st, int n) {
+  const int chunk =
+      static_cast<int>(kWaveChunkBytes / kernel_element_bytes(k));
+  int base = st[0].x0;
+  int hi = st[0].x1;
+  for (int g = 1; g < n; ++g) {
+    base = std::min(base, st[g].x0);
+    hi = std::max(hi, st[g].x1);
+  }
+  const int chunks = (hi - base + chunk - 1) / chunk;
+  for (int j = 0; j < chunks + n - 1; ++j) {
+    for (int g = 0; g < n; ++g) {
+      const int ci = j - g;
+      if (ci < 0 || ci >= chunks) continue;
+      const int a = std::max(st[g].x0, base + ci * chunk);
+      const int b = std::min(st[g].x1, base + (ci + 1) * chunk);
+      if (a >= b) continue;
+      if constexpr (kernel_has_row_nt_2d<K>) {
+        if (st[g].nt) {
+          k.process_row_nt(st[g].t, st[g].y, a, b);
+          continue;
+        }
+      }
+      k.process_row(st[g].t, st[g].y, a, b);
+    }
+  }
+}
 
 /// One slab of a 3D fused group: the z-plane at timestep t, rows
 /// [ylo, yhi] x [x0, x1).
@@ -90,28 +140,6 @@ void run_fused_3d(K& k, const Stage3* st, int n, int s) {
         }
       }
       k.process_row(st[g].t, y, st[g].z, st[g].x0, st[g].x1);
-    }
-  }
-}
-
-/// run_fused_3d with every row driven through the kernel's temporally-
-/// vectorized body (process_row_tv, see wave/temporal_vec.hpp): same
-/// row-staggered schedule, same stagger proof, identical per-point operation
-/// tree; the per-stage `nt` flag is threaded through instead of the
-/// process_row/process_row_nt split.
-template <class K>
-void run_fused_3d_tv(K& k, const Stage3* st, int n, int s) {
-  int rlo = st[0].ylo;
-  int rhi = st[0].yhi;
-  for (int g = 1; g < n; ++g) {
-    rlo = std::min(rlo, st[g].ylo + g * s);
-    rhi = std::max(rhi, st[g].yhi + g * s);
-  }
-  for (int r = rlo; r <= rhi; ++r) {
-    for (int g = 0; g < n; ++g) {
-      const int y = r - g * s;
-      if (y < st[g].ylo || y > st[g].yhi) continue;
-      k.process_row_tv(st[g].t, y, st[g].z, st[g].x0, st[g].x1, st[g].nt);
     }
   }
 }

@@ -179,4 +179,31 @@ TEST(Footprint, StreamedLineReloadFlagged) {
       << chk.diags().front().message;
 }
 
+/// Doctored access #4: one stage storing the same vector twice. No row body
+/// rewrites a value, so the second store is a version violation, reported
+/// with its coordinates and timestep.
+TEST(Footprint, DoubleStoreFlagged) {
+  constexpr int S = 1;
+  Grid2D<RecElem64> src(32, 12, S);
+  Grid2D<RecElem64> dst(32, 12, S);
+  FootprintChecker chk(2, S);
+  chk.add_state_grid_2d(src, 0, "buf0");
+  chk.add_state_grid_2d(dst, 1, "buf1");
+  chk.install();
+  {
+    const FpStage st{1, 5, 0, 0, 32, false};
+    FpCallScope scope(chk, &st, 1);
+    const RecVec64 v{};
+    v.store(dst.row(5) + 8);
+    v.store(dst.row(5) + 8);  // same elements, same timestep: flagged
+  }
+  FootprintChecker::uninstall();
+  ASSERT_EQ(chk.diags().size(), 1U);
+  const std::string& m = chk.diags().front().message;
+  EXPECT_NE(m.find("WAR/version violation"), std::string::npos) << m;
+  EXPECT_NE(m.find("x=8"), std::string::npos) << m;
+  EXPECT_NE(m.find("y=5"), std::string::npos) << m;
+  EXPECT_NE(m.find("stage t=1"), std::string::npos) << m;
+}
+
 }  // namespace

@@ -62,10 +62,10 @@ TEST(Float32, AllSchemesBitExactVsReference) {
 }
 
 TEST(Float32, WaveEngineBitExact) {
-  // Fusion, NT stores and temporal vectorization are execution-order /
-  // store-path changes only, so every composition must reproduce the plain
-  // (unfused, plain-store) fp32 walk bit for bit — same contract as the fp64
-  // wave tests, instantiated for the float element type (VecF width 2x).
+  // Fusion and NT stores are execution-order / store-path changes only, so
+  // every composition must reproduce the plain (unfused, plain-store) fp32
+  // walk bit for bit — same contract as the fp64 wave tests, instantiated
+  // for the float element type (VecF width 2x).
   auto make = [] {
     FloatStar2D<1> k(73, 59, weights_f32());
     k.init(
@@ -85,21 +85,17 @@ TEST(Float32, WaveEngineBitExact) {
     std::vector<double> want;
     ref.copy_result_to(want, T);
     for (int u : {0, 4}) {
-      for (bool tv : {false, true}) {
-        RunOptions opt = plain;
-        opt.unroll_t = u;
-        opt.nt_stores = true;
-        opt.temporal_vec = tv;
-        auto k = make();
-        run(k, T, opt);
-        std::vector<double> got;
-        k.copy_result_to(got, T);
-        expect_bit_equal(got, want,
-                         (std::string("f32 wave ") + scheme_name(s) +
-                          " unroll=" + std::to_string(u) +
-                          (tv ? " tv" : ""))
-                             .c_str());
-      }
+      RunOptions opt = plain;
+      opt.unroll_t = u;
+      opt.nt_stores = true;
+      auto k = make();
+      run(k, T, opt);
+      std::vector<double> got;
+      k.copy_result_to(got, T);
+      expect_bit_equal(got, want,
+                       (std::string("f32 wave ") + scheme_name(s) +
+                        " unroll=" + std::to_string(u))
+                           .c_str());
     }
   }
 }

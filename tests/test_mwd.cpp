@@ -108,23 +108,19 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(8, 64)));                 // tiny + small cache
 
 // ---------------------------------------------------------------------------
-// Option cross: unroll x NT stores x temporal vectorization
+// Option cross: unroll x NT stores
 // ---------------------------------------------------------------------------
 
 TEST(Mwd, WaveOptionCross) {
   const auto want = reference_const2d<1>(48, 40, 12);
   for (int u : {0, 1, 3}) {
     for (bool nt : {false, true}) {
-      for (bool tv : {false, true}) {
-        RunOptions opt = mwd_options(4, 2, 32 * 1024);
-        opt.unroll_t = u;
-        opt.nt_stores = nt;
-        opt.temporal_vec = tv;
-        const std::string label = "u=" + std::to_string(u) +
-                                  " nt=" + std::to_string(nt) +
-                                  " tv=" + std::to_string(tv);
-        expect_bit_equal(mwd_const2d<1>(48, 40, 12, opt), want, label.c_str());
-      }
+      RunOptions opt = mwd_options(4, 2, 32 * 1024);
+      opt.unroll_t = u;
+      opt.nt_stores = nt;
+      const std::string label =
+          "u=" + std::to_string(u) + " nt=" + std::to_string(nt);
+      expect_bit_equal(mwd_const2d<1>(48, 40, 12, opt), want, label.c_str());
     }
   }
 }

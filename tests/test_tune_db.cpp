@@ -202,7 +202,6 @@ TEST(TuneDb, IncompleteRowsAreSkippedNotFatal) {
   EXPECT_EQ(tuned.affinity, AffinityPolicy::Compact);
   EXPECT_TRUE(tuned.nt_stores);
   EXPECT_EQ(tuned.unroll_t, 2);
-  EXPECT_TRUE(tuned.temporal_vec);
   EXPECT_EQ(tuned.mwd_group, 1);
   EXPECT_EQ(tuned.prefetch_dist, 8);
   std::remove(path.c_str());
