@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <new>
 
 #include "check/check.hpp"
 #include "grid/aligned_buffer.hpp"
@@ -32,7 +34,9 @@ class Grid3D {
     lead_ = round_up(static_cast<std::size_t>(g_), elems_per_line);
     pitch_ = lead_ + round_up(static_cast<std::size_t>(w_) + g_, elems_per_line);
     slice_ = pitch_ * (static_cast<std::size_t>(h_) + 2 * g_);
-    buf_ = AlignedBuffer<T>(slice_ * (static_cast<std::size_t>(d_) + 2 * g_));
+    const std::size_t planes = static_cast<std::size_t>(d_) + 2 * g_;
+    if (slice_ > SIZE_MAX / planes) throw std::bad_alloc{};
+    buf_ = AlignedBuffer<T>(slice_ * planes);
   }
 
   int width() const noexcept { return w_; }
