@@ -7,17 +7,13 @@
 // "threads" context keys the groups; the fp32 family carries its own
 // naive/plain anchors).
 //
-// Each CATS2 family is measured two ways: "cats2_plain" disables the wave
-// engine (unroll_t=1, no NT stores, no software prefetch) and "cats2_wave"
-// enables it (temporal fusion, NT trailing stores, prefetch). The
-// wave/plain ratio is the wave engine's speedup, and const2d_f32 vs const2d
-// at equal config the fp32 precision gain.
+// const2d_f32 vs const2d at equal config is the fp32 precision gain.
 //
 // MWD row: "mwd_g2" pools pairs of threads over shared diamonds
-// (RunOptions::mwd_group = 2, plan/emit.hpp emit_mwd) at the wave
-// configuration, raced against "cats2_wave". It degrades gracefully at
-// THREADS=1 (the group width clamps to 1), so single-thread baselines stay
-// comparable across the matrix.
+// (RunOptions::mwd_group = 2, plan/emit.hpp emit_mwd), raced against
+// "cats2_plain". It degrades gracefully at THREADS=1 (the group width
+// clamps to 1), so single-thread baselines stay comparable across the
+// matrix.
 
 #include "common.hpp"
 #include "kernels/banded2d.hpp"
@@ -31,30 +27,25 @@ using namespace cats::bench;
 
 namespace {
 
+// "cats2_plain" keeps its historical name so the committed baseline rows
+// still match.
 struct SchemeConfig {
   const char* name;
   Scheme scheme;
-  int unroll_t;       // RunOptions::unroll_t (0 = auto-fuse)
-  bool nt_stores;
-  int prefetch_dist;
   int mwd_group;  // RunOptions::mwd_group (MWD shared-diamond groups)
 };
 
 constexpr SchemeConfig kConfigs[] = {
-    {"naive", Scheme::Naive, 1, false, 0, 0},
-    {"pluto", Scheme::PlutoLike, 1, false, 0, 0},
-    {"cats1", Scheme::Cats1, 0, false, 4, 0},
-    {"cats2_plain", Scheme::Cats2, 1, false, 0, 0},
-    {"cats2_wave", Scheme::Cats2, 0, true, 4, 0},
-    {"mwd_g2", Scheme::Mwd, 0, true, 4, 2},
+    {"naive", Scheme::Naive, 0},
+    {"pluto", Scheme::PlutoLike, 0},
+    {"cats1", Scheme::Cats1, 0},
+    {"cats2_plain", Scheme::Cats2, 0},
+    {"mwd_g2", Scheme::Mwd, 2},
 };
 
 RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
   RunOptions opt = options_for(cfg, sc.scheme);
   opt.tuning = Tuning::Off;  // pinned configs; tuning would blur the diff
-  opt.unroll_t = sc.unroll_t;
-  opt.nt_stores = sc.nt_stores;
-  opt.prefetch_dist = sc.prefetch_dist;
   if (sc.mwd_group > 0) {
     // Clamp like run() would (largest divisor of the pool) so a THREADS=1
     // matrix leg times the degenerate single-worker MWD, not a warning.
@@ -150,9 +141,8 @@ int main(int argc, char** argv) {
 
   table.print(std::cout);
 
-  // Speedup summaries: wave engine over plain (the PR 5 acceptance
-  // numbers), temporal vectorization over the spatial wave path, and the
-  // fp32 family over fp64 at equal configuration.
+  // Speedup summaries: the fp32 family over fp64 at equal configuration,
+  // and MWD groups over one diamond per thread.
   const auto& rows = table.rows();
   const auto mlups_of = [&](const std::string& kernel,
                             const std::string& config) {
@@ -167,21 +157,15 @@ int main(int argc, char** argv) {
               << "x (" << fmt_fixed(base, 1) << " -> " << fmt_fixed(x, 1)
               << " MLUP/s)\n";
   };
-  for (const char* kernel :
-       {"const2d", "const2d_f32", "banded2d", "const3d", "banded3d"}) {
-    const double plain = mlups_of(kernel, "cats2_plain");
-    const double wave = mlups_of(kernel, "cats2_wave");
-    ratio_line(std::string(kernel) + ": wave engine speedup", plain, wave);
-  }
-  for (const char* config : {"naive", "cats2_plain", "cats2_wave"}) {
+  for (const char* config : {"naive", "cats2_plain"}) {
     ratio_line(std::string("const2d_f32/") + config + ": fp32 speedup",
                mlups_of("const2d", config), mlups_of("const2d_f32", config));
   }
   // The MWD race: shared-diamond groups vs one diamond per thread.
   for (const char* kernel :
        {"const2d", "const2d_f32", "banded2d", "const3d", "banded3d"}) {
-    ratio_line(std::string(kernel) + ": MWD over cats2_wave",
-               mlups_of(kernel, "cats2_wave"), mlups_of(kernel, "mwd_g2"));
+    ratio_line(std::string(kernel) + ": MWD over cats2_plain",
+               mlups_of(kernel, "cats2_plain"), mlups_of(kernel, "mwd_g2"));
   }
   return 0;
 }

@@ -1,29 +1,25 @@
 #pragma once
-// Symbolic footprint analyzer (DESIGN.md §15): drive the *real* wave engine
-// (wave/engine.hpp walkers, the production chain/NT dispatch and the fused
-// drivers of wave/microkernel.hpp) over the *real* emitted TilePlans with
-// kernels instantiated on recording element types (analysis/record.hpp),
-// and check every recorded load/store address online against what the plan
-// says the kernel may touch:
+// Symbolic footprint analyzer (DESIGN.md §15): drive the *real* kernel
+// walk (plan/kernel_walk.hpp walk_slab, the same slab-to-rows expansion
+// run_plan executes) over the *real* emitted TilePlans with kernels
+// instantiated on recording element types (analysis/record.hpp), and check
+// every recorded load/store address online against what the plan says the
+// kernel may touch:
 //
 //  * halo containment — a store lands exactly in the slab's row segment of
 //    the timestep-parity destination buffer; a load stays inside the
-//    slope-S star reach of some active stage (center row [x0-S, x1-1+S],
+//    slope-S star reach of the active row call (center row [x0-S, x1-1+S],
 //    off-axis rows/planes [x0, x1), coefficient bands same-row) and inside
 //    the grid's legal ghost range;
-//  * alignment — every load_aligned / store_aligned / stream store is
-//    naturally vector-aligned (RecNtVec mirrors the production runtime
-//    fallback, so only *required* alignment is a hard failure);
-//  * NT-store eligibility — stream stores occur only in trailing-wavefront
-//    stages, and no line streamed within a tile is reloaded before the
-//    tile ends (streaming a line the tile still needs would be a
-//    certification bug);
+//  * alignment — every load_aligned / store_aligned is naturally
+//    vector-aligned (the production bodies use only unaligned accesses, so
+//    this rule is held under a negative test);
 //  * write versioning — each element carries the timestep of its last
 //    write; a load of timestep-t data must observe version t-1 (catches
-//    both stale reads and WAR violations of the fused-chain stagger,
-//    end-to-end through the engine's group building), and a store must
-//    overwrite the t-2 parity value — storing an element twice is a
-//    violation too;
+//    both stale reads and WAR violations of the walk order), and a store
+//    must overwrite the t-2 parity value — storing an element twice is a
+//    violation too; after the walk every interior element must hold its
+//    final version (check_complete), so a walk that skips points fails;
 //  * buffer-parity non-aliasing — loads resolve only against the (t-1)&1
 //    buffer, stores only against t&1, and coefficient bands are
 //    read-only.
@@ -31,25 +27,23 @@
 // Cross-tile ordering (who waits for whom) is the plan verifier's theorem
 // (plan/verify.hpp); this analyzer drives tiles sequentially in a
 // sync-edge-respecting topological order and checks what the verifier
-// cannot see: the actual kernel/engine address streams between those sync
+// cannot see: the actual kernel address streams between those sync
 // points.
 
 #include <algorithm>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/record.hpp"
-#include "core/options.hpp"
 #include "grid/grid2d.hpp"
 #include "grid/grid3d.hpp"
+#include "plan/kernel_walk.hpp"
+#include "plan/mwd.hpp"
 #include "plan/plan.hpp"
-#include "wave/engine.hpp"
-#include "wave/mwd.hpp"
 
 namespace cats {
 namespace analysis {
@@ -64,8 +58,6 @@ struct FpReport {
   std::vector<FpDiag> diags;
   long long loads = 0;
   long long stores = 0;
-  long long nt_stores = 0;
-  long long nt_fallback = 0;
   bool ok() const { return diags.empty(); }
 };
 
@@ -87,14 +79,13 @@ struct GridView {
   std::string name;
 };
 
-/// One active kernel-call stage: the row segment some process_row* call is
-/// entitled to compute. 2D stages use z = 0.
+/// The active kernel-call stage: the row segment the current process_row*
+/// call is entitled to compute. 2D stages use z = 0.
 struct FpStage {
   int t = 0;
   int y = 0;
   int z = 0;
   int x0 = 0, x1 = 0;
-  bool nt = false;
 };
 
 class FootprintChecker {
@@ -196,31 +187,43 @@ class FootprintChecker {
     g_access_hook.fn = nullptr;
   }
 
-  void begin_call(const FpStage* st, int n) { stages_.assign(st, st + n); }
-  void end_call() { stages_.clear(); }
-
-  void begin_tile() { streamed_lines_.clear(); }
-  void end_tile() { streamed_lines_.clear(); }
+  void begin_call(const FpStage& st) { stage_ = st; }
+  void end_call() { stage_.reset(); }
 
   const std::vector<FpDiag>& diags() const { return diags_; }
   long long loads() const { return loads_; }
   long long stores() const { return stores_; }
-  long long nt_stores() const { return nt_stores_; }
-  long long nt_fallback() const { return nt_fallback_; }
+
+  /// Completeness after a walk of timesteps 1..T: every interior element of
+  /// each state buffer must hold the last timestep of its parity (T or T-1;
+  /// 0 = the initial condition). Reports the first element that does not.
+  void check_complete(int T) {
+    for (std::size_t i = 0; i < grids_.size(); ++i) {
+      const GridView& g = grids_[i];
+      if (g.role != GridRole::State) continue;
+      const std::int32_t want =
+          (T & 1) == g.parity ? T : std::max(T - 1, 0);
+      for (std::size_t off = 0; off < g.total_elems; ++off) {
+        int x = 0, y = 0, z = 0;
+        to_coords(g, off, &x, &y, &z);
+        if (!interior(g, x, y, z) || version_[i][off] == want) continue;
+        add_diag(fmt("incomplete walk: grid %s x=%d y=%d z=%d holds t=%d "
+                     "data after T=%d, expected t=%d",
+                     g.name.c_str(), x, y, z, version_[i][off], T, want));
+        return;
+      }
+    }
+  }
 
   void add_diag(std::string msg) {
     if (diags_.size() < kMaxDiags) diags_.push_back({std::move(msg)});
   }
 
   void on_access(const void* p, int bytes, AccessKind k) {
-    const bool is_store = k == AccessKind::Store ||
-                          k == AccessKind::StoreAligned ||
-                          k == AccessKind::StoreNt ||
-                          k == AccessKind::StoreNtFallback;
+    const bool is_store =
+        k == AccessKind::Store || k == AccessKind::StoreAligned;
     if (is_store) {
       ++stores_;
-      if (k == AccessKind::StoreNt) ++nt_stores_;
-      if (k == AccessKind::StoreNtFallback) ++nt_fallback_;
     } else {
       ++loads_;
     }
@@ -238,13 +241,12 @@ class FootprintChecker {
     to_coords(*gv, off, &x, &y, &z);
 
     // Required-alignment kinds must be naturally aligned to the full span.
-    if ((k == AccessKind::LoadAligned || k == AccessKind::StoreAligned ||
-         k == AccessKind::StoreNt) &&
+    if ((k == AccessKind::LoadAligned || k == AccessKind::StoreAligned) &&
         elems > 1 &&
         (reinterpret_cast<std::uintptr_t>(p) &
          (static_cast<std::uintptr_t>(bytes) - 1)) != 0) {
       add_diag(fmt("misaligned %s at %p (grid %s, x=%d y=%d z=%d, span %d "
-                   "bytes): stream/aligned access requires natural alignment%s",
+                   "bytes): requires natural alignment%s",
                    kind_name(k), p, gv->name.c_str(), x, y, z, bytes,
                    stage_ctx().c_str()));
       return;
@@ -281,8 +283,6 @@ class FootprintChecker {
       case AccessKind::LoadAligned: return "aligned load";
       case AccessKind::Store: return "store";
       case AccessKind::StoreAligned: return "aligned store";
-      case AccessKind::StoreNt: return "stream store";
-      case AccessKind::StoreNtFallback: return "stream-fallback store";
     }
     return "?";
   }
@@ -298,13 +298,9 @@ class FootprintChecker {
   }
 
   std::string stage_ctx() const {
-    std::string s = "; active stages:";
-    if (stages_.empty()) return s + " (none)";
-    for (const FpStage& st : stages_) {
-      s += fmt(" {t=%d y=%d z=%d x=[%d,%d)%s}", st.t, st.y, st.z, st.x0,
-               st.x1, st.nt ? " nt" : "");
-    }
-    return s;
+    if (!stage_) return "; active stage: (none)";
+    return fmt("; active stage: {t=%d y=%d z=%d x=[%d,%d)}", stage_->t,
+               stage_->y, stage_->z, stage_->x0, stage_->x1);
   }
 
   void add_grid(GridView v) {
@@ -355,49 +351,26 @@ class FootprintChecker {
                    g.name.c_str(), x, y, z, stage_ctx().c_str()));
       return;
     }
-    const FpStage* match = nullptr;
-    bool nt_ok = false;
-    for (const FpStage& st : stages_) {
-      if (g.parity != (st.t & 1)) continue;
-      if (y != st.y || z != st.z) continue;
-      if (x < st.x0 || x + elems > st.x1) continue;
-      match = &st;
-      nt_ok = nt_ok || st.nt;
-    }
-    if (match == nullptr) {
-      add_diag(fmt("%s outside any stage's output segment: grid %s "
+    const FpStage* st = stage_ ? &*stage_ : nullptr;
+    if (st == nullptr || g.parity != (st->t & 1) || y != st->y ||
+        z != st->z || x < st->x0 || x + elems > st->x1) {
+      add_diag(fmt("%s outside the active stage's output segment: grid %s "
                    "(parity %d) x=[%d,%d) y=%d z=%d%s",
                    kind_name(k), g.name.c_str(), g.parity, x, x + elems, y, z,
                    stage_ctx().c_str()));
       return;
     }
-    if (k == AccessKind::StoreNt && !nt_ok) {
-      add_diag(fmt("stream store in a non-trailing stage: grid %s x=[%d,%d) "
-                   "y=%d z=%d%s",
-                   g.name.c_str(), x, x + elems, y, z, stage_ctx().c_str()));
-      return;
-    }
-    if (k == AccessKind::StoreNt) {
-      const auto a = reinterpret_cast<std::uintptr_t>(g.base) +
-                     off * static_cast<std::uintptr_t>(g.elem_bytes);
-      const std::uintptr_t last =
-          a + static_cast<std::uintptr_t>(elems * g.elem_bytes) - 1;
-      for (std::uintptr_t line = a >> 6; line <= (last >> 6); ++line) {
-        streamed_lines_.insert(line);
-      }
-    }
     // Version update: the destination must hold the t-2 parity value (0 =
     // the initial condition). No body rewrites a value, so an element that
     // already holds t was stored twice.
-    const int t = match->t;
+    const int t = st->t;
     std::vector<std::int32_t>& ver = version_[grid_idx_];
     const std::int32_t expect = t >= 2 ? t - 2 : 0;
     for (int i = 0; i < elems; ++i) {
       const std::int32_t old = ver[off + static_cast<std::size_t>(i)];
       if (old != expect) {
         add_diag(fmt("WAR/version violation on store: grid %s x=%d y=%d z=%d "
-                     "holds t=%d data, stage t=%d expected t=%d (stagger "
-                     "broken?)%s",
+                     "holds t=%d data, stage t=%d expected t=%d%s",
                      g.name.c_str(), x + i, y, z, old, t, expect,
                      stage_ctx().c_str()));
         return;
@@ -408,75 +381,43 @@ class FootprintChecker {
 
   void check_load(const GridView& g, std::size_t off, int x, int y, int z,
                   int elems, AccessKind k) {
-    // A line streamed past the cache earlier in this tile must not be
-    // reloaded before the tile ends — that would defeat (and falsify) the
-    // NT residency certification.
-    if (!streamed_lines_.empty()) {
-      const auto a = reinterpret_cast<std::uintptr_t>(g.base) +
-                     off * static_cast<std::uintptr_t>(g.elem_bytes);
-      const std::uintptr_t last =
-          a + static_cast<std::uintptr_t>(elems * g.elem_bytes) - 1;
-      for (std::uintptr_t line = a >> 6; line <= (last >> 6); ++line) {
-        if (streamed_lines_.count(line) != 0) {
-          add_diag(fmt("reload of a line streamed within this tile: grid %s "
-                       "x=[%d,%d) y=%d z=%d%s",
-                       g.name.c_str(), x, x + elems, y, z,
-                       stage_ctx().c_str()));
-          return;
-        }
-      }
-    }
     const int S = slope_;
-    const FpStage* matches[8];
-    int nm = 0;
-    for (const FpStage& st : stages_) {
-      if (nm == 8) break;
-      if (g.role == GridRole::Band) {
-        if (y == st.y && z == st.z && x >= st.x0 && x + elems <= st.x1) {
-          matches[nm++] = &st;
-        }
-        continue;
-      }
-      if (g.parity != ((st.t - 1) & 1)) continue;
-      const int dy = y - st.y;
-      const int dz = z - st.z;
+    const FpStage* st = stage_ ? &*stage_ : nullptr;
+    bool reach = false;
+    if (st != nullptr && g.role == GridRole::Band) {
+      reach = y == st->y && z == st->z && x >= st->x0 && x + elems <= st->x1;
+    } else if (st != nullptr && g.parity == ((st->t - 1) & 1)) {
+      const int dy = y - st->y;
+      const int dz = z - st->z;
       if (dy == 0 && dz == 0) {
         // Center row: x reach extends S beyond the segment on both sides.
-        if (x >= st.x0 - S && x + elems <= st.x1 + S) matches[nm++] = &st;
+        reach = x >= st->x0 - S && x + elems <= st->x1 + S;
       } else if ((dz == 0 && dy >= -S && dy <= S) ||
                  (dy == 0 && dz >= -S && dz <= S)) {
         // Off-axis star arm: same x segment as the outputs.
-        if (x >= st.x0 && x + elems <= st.x1) matches[nm++] = &st;
+        reach = x >= st->x0 && x + elems <= st->x1;
       }
     }
-    if (nm == 0) {
+    if (!reach) {
       add_diag(fmt("halo violation: %s of grid %s (%s) x=[%d,%d) y=%d z=%d "
-                   "outside the slope-%d reach of every active stage%s",
+                   "outside the slope-%d reach of the active stage%s",
                    kind_name(k), g.name.c_str(),
                    g.role == GridRole::Band ? "band" : "state", x, x + elems,
                    y, z, S, stage_ctx().c_str()));
       return;
     }
     if (g.role == GridRole::Band) return;
-    // Version check: interior elements must hold exactly the t-1 value of
-    // some geometrically matching stage (ghost cells hold time-invariant
-    // boundary data and are exempt).
+    // Version check: interior elements must hold exactly the stage's t-1
+    // value (ghost cells hold time-invariant boundary data and are exempt).
     const std::vector<std::int32_t>& ver = version_[grid_idx_];
     for (int i = 0; i < elems; ++i) {
       if (!interior(g, x + i, y, z)) continue;
       const std::int32_t v = ver[off + static_cast<std::size_t>(i)];
-      bool ok = false;
-      for (int m = 0; m < nm; ++m) {
-        if (v == matches[m]->t - 1) {
-          ok = true;
-          break;
-        }
-      }
-      if (!ok) {
-        add_diag(fmt("stale read: grid %s x=%d y=%d z=%d holds t=%d data; "
-                     "no matching stage expects it (stage t-1 values "
-                     "differ)%s",
-                     g.name.c_str(), x + i, y, z, v, stage_ctx().c_str()));
+      if (v != st->t - 1) {
+        add_diag(fmt("stale read: grid %s x=%d y=%d z=%d holds t=%d data, "
+                     "the stage expects t=%d%s",
+                     g.name.c_str(), x + i, y, z, v, st->t - 1,
+                     stage_ctx().c_str()));
         return;
       }
     }
@@ -487,20 +428,17 @@ class FootprintChecker {
   std::vector<GridView> grids_;
   std::vector<std::vector<std::int32_t>> version_;
   std::size_t grid_idx_ = 0;  ///< set by resolve(), indexes version_
-  std::vector<FpStage> stages_;
-  std::unordered_set<std::uintptr_t> streamed_lines_;
+  std::optional<FpStage> stage_;
   std::vector<FpDiag> diags_;
   long long loads_ = 0;
   long long stores_ = 0;
-  long long nt_stores_ = 0;
-  long long nt_fallback_ = 0;
 };
 
 /// RAII stage context for one kernel call.
 class FpCallScope {
  public:
-  FpCallScope(FootprintChecker& c, const FpStage* st, int n) : c_(&c) {
-    c_->begin_call(st, n);
+  FpCallScope(FootprintChecker& c, const FpStage& st) : c_(&c) {
+    c_->begin_call(st);
   }
   ~FpCallScope() { c_->end_call(); }
   FpCallScope(const FpCallScope&) = delete;
@@ -510,85 +448,45 @@ class FpCallScope {
   FootprintChecker* c_;
 };
 
-/// Transparent 2D kernel wrapper: forwards every engine-facing entry point
-/// to the recording-instantiated kernel, bracketing each call with its
-/// stage context so the checker can attribute every address. Requires the
-/// full-featured kernel interface (process_row/_nt, element_bytes) — which
-/// all analyzed families provide.
+/// Transparent 2D kernel wrapper: forwards the row entry points walk_slab
+/// calls to the recording-instantiated kernel, bracketing each call with
+/// its stage context so the checker can attribute every address.
 template <class K>
 class RecWrap2D {
  public:
-  static constexpr bool wave_fusable = true;  ///< engine-side fusion opt-in
-
   RecWrap2D(K& k, FootprintChecker& c) : k_(&k), c_(&c) {}
 
-  /// Forwarded so run_fused_2d cuts the production chunk width (1024
-  /// points for fp32, not the 512 of the 8-byte default).
-  double element_bytes() const { return k_->element_bytes(); }
-
   void process_row(int t, int y, int x0, int x1) {
-    const FpStage s{t, y, 0, x0, x1, false};
-    FpCallScope scope(*c_, &s, 1);
-    note_call(t, y, x0, x1);
+    const FpStage s{t, y, 0, x0, x1};
+    FpCallScope scope(*c_, s);
     k_->process_row(t, y, x0, x1);
   }
   void process_row_scalar(int t, int y, int x0, int x1) {
-    const FpStage s{t, y, 0, x0, x1, false};
-    FpCallScope scope(*c_, &s, 1);
+    const FpStage s{t, y, 0, x0, x1};
+    FpCallScope scope(*c_, s);
     k_->process_row_scalar(t, y, x0, x1);
   }
-  void process_row_nt(int t, int y, int x0, int x1) {
-    const FpStage s{t, y, 0, x0, x1, true};
-    FpCallScope scope(*c_, &s, 1);
-    note_call(t, y, x0, x1);
-    k_->process_row_nt(t, y, x0, x1);
-  }
-
-  /// process_row/_nt calls that resumed a row part-way: they start where an
-  /// earlier call on the same (t, y) stopped, and another row's call ran in
-  /// between — the 2D chunk stagger of run_fused_2d, observed.
-  long long resumed_rows = 0;
 
  private:
-  void note_call(int t, int y, int x0, int x1) {
-    const std::int64_t key =
-        (static_cast<std::int64_t>(t) << 32) | static_cast<std::uint32_t>(y);
-    const auto it = row_end_.find(key);
-    if (it != row_end_.end() && it->second == x0 && key != last_key_) {
-      ++resumed_rows;
-    }
-    row_end_[key] = x1;
-    last_key_ = key;
-  }
-
   K* k_;
   FootprintChecker* c_;
-  std::unordered_map<std::int64_t, int> row_end_;  ///< (t, y) -> last x1
-  std::int64_t last_key_ = -1;
 };
 
 /// Transparent 3D kernel wrapper (see RecWrap2D).
 template <class K>
 class RecWrap3D {
  public:
-  static constexpr bool wave_fusable = true;  ///< engine-side fusion opt-in
-
   RecWrap3D(K& k, FootprintChecker& c) : k_(&k), c_(&c) {}
 
   void process_row(int t, int y, int z, int x0, int x1) {
-    const FpStage s{t, y, z, x0, x1, false};
-    FpCallScope scope(*c_, &s, 1);
+    const FpStage s{t, y, z, x0, x1};
+    FpCallScope scope(*c_, s);
     k_->process_row(t, y, z, x0, x1);
   }
   void process_row_scalar(int t, int y, int z, int x0, int x1) {
-    const FpStage s{t, y, z, x0, x1, false};
-    FpCallScope scope(*c_, &s, 1);
+    const FpStage s{t, y, z, x0, x1};
+    FpCallScope scope(*c_, s);
     k_->process_row_scalar(t, y, z, x0, x1);
-  }
-  void process_row_nt(int t, int y, int z, int x0, int x1) {
-    const FpStage s{t, y, z, x0, x1, true};
-    FpCallScope scope(*c_, &s, 1);
-    k_->process_row_nt(t, y, z, x0, x1);
   }
 
  private:
@@ -635,89 +533,47 @@ inline std::vector<int> plan_topo_order(const plan_ir::TilePlan& p) {
   return order;
 }
 
-/// Drive one 2D recording kernel through the production wave walker over
-/// every tile of the plan, in topological order, with per-tile NT line
-/// tracking.
+/// Drive a recording kernel (RecWrap2D/RecWrap3D) through the production
+/// slab walk (plan_ir::walk_slab) over every tile of the plan, in
+/// topological order.
 template <class RecK>
-void drive_plan_2d(RecK& rk, const plan_ir::TilePlan& p,
-                   const RunOptions& opt, FootprintChecker& chk) {
-  wave::WaveWalker2D<false, RecK> walker(rk, p, opt);
+void drive_plan(RecK& rk, const plan_ir::TilePlan& p, FootprintChecker& chk) {
   chk.install();
   for (int ti : plan_topo_order(p)) {
-    chk.begin_tile();
     plan_ir::for_each_slab(p, p.tiles[static_cast<std::size_t>(ti)],
-                           [&](const plan_ir::Slab& sl) { walker(sl); });
-    walker.end_tile();
-    chk.end_tile();
+                           [&](const plan_ir::Slab& sl) {
+                             plan_ir::walk_slab(rk, sl);
+                           });
   }
   FootprintChecker::uninstall();
 }
 
-/// 3D twin of drive_plan_2d.
-template <class RecK>
-void drive_plan_3d(RecK& rk, const plan_ir::TilePlan& p,
-                   const RunOptions& opt, FootprintChecker& chk) {
-  wave::WaveWalker3D<false, RecK> walker(rk, p, opt);
-  chk.install();
-  for (int ti : plan_topo_order(p)) {
-    chk.begin_tile();
-    plan_ir::for_each_slab(p, p.tiles[static_cast<std::size_t>(ti)],
-                           [&](const plan_ir::Slab& sl) { walker(sl); });
-    walker.end_tile();
-    chk.end_tile();
-  }
-  FootprintChecker::uninstall();
-}
-
-/// Grouped (MWD) drivers: emulate each tile's m-member window pipeline
+/// Grouped (MWD) driver: emulate each tile's m-member window pipeline
 /// sequentially, member-major. That is a dependence-legal linearization of
 /// the barrier schedule — every producer's time band (hence member index)
-/// is <= its consumer's (wave/mwd.hpp), so running member k fully before
-/// member k+1 preserves every ordering the barriers enforce. The per-window
-/// walker flushes run inside mwd_walk_tile, exactly as in production, so
-/// fused-group shapes and NT/fence points match the parallel execution.
+/// is <= its consumer's (plan/mwd.hpp), so running member k fully before
+/// member k+1 preserves every ordering the barriers enforce.
 template <class RecK>
-void drive_plan_2d_mwd(RecK& rk, const plan_ir::TilePlan& p,
-                       const RunOptions& opt, FootprintChecker& chk) {
+void drive_plan_mwd(RecK& rk, const plan_ir::TilePlan& p,
+                    FootprintChecker& chk) {
   const int m = std::max(1, p.mwd_group);
-  wave::WaveWalker2D<false, RecK> walker(rk, p, opt);
   chk.install();
   for (int ti : plan_topo_order(p)) {
-    chk.begin_tile();
     for (int member = 0; member < m; ++member) {
-      wave::mwd_walk_tile(p, p.tiles[static_cast<std::size_t>(ti)], member, m,
-                          [] {}, walker);
+      plan_ir::mwd_walk_tile(p, p.tiles[static_cast<std::size_t>(ti)], member,
+                             m, [] {}, [&](const plan_ir::Slab& sl) {
+                               plan_ir::walk_slab(rk, sl);
+                             });
     }
-    chk.end_tile();
   }
   FootprintChecker::uninstall();
 }
 
-/// 3D twin of drive_plan_2d_mwd.
-template <class RecK>
-void drive_plan_3d_mwd(RecK& rk, const plan_ir::TilePlan& p,
-                       const RunOptions& opt, FootprintChecker& chk) {
-  const int m = std::max(1, p.mwd_group);
-  wave::WaveWalker3D<false, RecK> walker(rk, p, opt);
-  chk.install();
-  for (int ti : plan_topo_order(p)) {
-    chk.begin_tile();
-    for (int member = 0; member < m; ++member) {
-      wave::mwd_walk_tile(p, p.tiles[static_cast<std::size_t>(ti)], member, m,
-                          [] {}, walker);
-    }
-    chk.end_tile();
-  }
-  FootprintChecker::uninstall();
-}
-
-/// The CI matrix: every kernel family x scheme x {unroll_t 0..4} x
-/// {nt_stores} (x {fp64, fp32} for the const2d family), each driven over a
-/// small emitted plan and certified clean — 180 configs. The 2D CATS1 cases
-/// use rows several chunks wide, so fused groups walk the chunk stagger.
-/// Exercise assertions (streams observed when armed, resumed rows under 2D
-/// CATS1 fusion and none without it) are reported as diagnostics too — a
-/// vacuous certification is a failure.
+/// The CI matrix: every kernel family x scheme (x {fp64, fp32} for the
+/// const2d family), each driven over a small emitted plan and certified
+/// clean — 22 configs: 3 2D families x {naive, CATS1, CATS2, MWD} and 2 3D
+/// families x {naive, CATS1, CATS2, CATS3, MWD}. Each run must also be
+/// complete (check_complete) — a vacuous certification is a failure.
 std::vector<FpReport> footprint_sweep();
 
 }  // namespace analysis

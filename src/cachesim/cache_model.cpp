@@ -82,26 +82,6 @@ void CacheModel::write_range(std::uint64_t addr, std::size_t len) {
   }
 }
 
-void CacheModel::write_nt_range(std::uint64_t addr, std::size_t len) {
-  if (len == 0) return;
-  stored_bytes_ += len;
-  nt_bytes_ += len;
-  const std::uint64_t first = addr >> line_shift_;
-  const std::uint64_t last = (addr + len - 1) >> line_shift_;
-  for (std::uint64_t l = first; l <= last; ++l) {
-    // MOVNT evicts any cached copy; the stream itself allocates nothing and
-    // is not a hit or a miss, so LRU stamps and fill counters stay untouched.
-    const std::size_t set = static_cast<std::size_t>(l) % sets_;
-    Way* base = entries_.data() + set * static_cast<std::size_t>(ways_);
-    for (int w = 0; w < ways_; ++w) {
-      if (base[w].valid && base[w].tag == l) {
-        base[w] = Way{};
-        break;
-      }
-    }
-  }
-}
-
 void CacheModel::flush() {
   entries_.assign(entries_.size(), Way{});
   clock_ = 0;

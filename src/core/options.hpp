@@ -91,22 +91,6 @@ struct RunOptions {
   /// for every run() by setting the CATS_VALIDATE environment variable.
   bool validate = false;
 
-  /// Non-temporal (streaming) stores on the trailing wavefront (src/wave).
-  /// Only honored when the plan's residency certificate shows the trailing
-  /// wavefront's output leaves cache before its next reader (CATS1/2/3 with
-  /// certified, unclamped Eq. 1/2 parameters); ignored — never unsafe —
-  /// elsewhere. Off by default: profitable only when the write-back stream
-  /// is DRAM-bound.
-  bool nt_stores = false;
-
-  /// Temporal unroll of the in-cache wavefront (src/wave): fuse this many
-  /// consecutive timesteps of one tile's wavefront chain through a staggered
-  /// sweep. 0 = auto (fuse up to 4 where legal), 1 = off, 2..4 = fixed.
-  /// Values outside [0, 4] are clamped by run() with a one-time stderr
-  /// diagnostic (core/selector.hpp sanitize_unroll_t). Bit-exact with the
-  /// unfused walk; auto-disabled under an attached dependence oracle.
-  int unroll_t = 0;
-
   /// Threads cooperating on one MWD diamond tube (Scheme::Mwd): the domain is
   /// tiled into threads/mwd_group diamond columns sized against the
   /// group-shared cache Z*mwd_group (Eq. 2 with the pooled budget), and the
@@ -115,10 +99,6 @@ struct RunOptions {
   /// exceeding the request (mwd_group_width below); 1 = one thread per
   /// diamond (CATS2-shaped schedule). Ignored by every other scheme.
   int mwd_group = 1;
-
-  /// Cache lines software-prefetched at the wavefront's leading edge
-  /// (kernel prefetch_front hint distance). 0 disables the hint.
-  int prefetch_dist = 4;
 
   /// Tenants co-resident on this run's cache (stencil service, src/serve):
   /// Eq. 1/2 size tiles against the *partitioned* cache share Z/cache_tenants

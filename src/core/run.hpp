@@ -132,7 +132,6 @@ SchemeChoice run(K& k, int T, const RunOptions& opt) {
     // resolved options is a no-op second lookup: a hit made scheme explicit.
     eff = apply_tuning(opt, kernel_tuning_id(k), domain_shape(k));
   }
-  eff.unroll_t = sanitize_unroll_t(eff.unroll_t);
   eff.mwd_group = sanitize_mwd_group(eff.mwd_group, eff.threads, eff.scheme);
   const SchemeChoice choice = plan(k, T, eff);
   if (T <= 0) return choice;

@@ -150,7 +150,8 @@ SchemeChoice select_scheme(const DomainShape& d, const KernelCosts& k,
     return {Scheme::Cats1, std::max(1, std::min(tz, T)), 0, 0};
   }
   const std::int64_t bz =
-      opt.bz_override ? opt.bz_override : compute_bz(g > 1 ? z_grp : z, d, k);
+      opt.bz_override ? std::max<std::int64_t>(opt.bz_override, 2ll * k.slope)
+                      : compute_bz(g > 1 ? z_grp : z, d, k);
   // A CATS2 diamond spans BZ/s timesteps; when even that drops below the
   // rule-of-thumb depth (enormous 3D domains / tiny caches), move to CATS3.
   if (d.dims >= 3 && bz / k.slope < opt.min_wavefront_timesteps &&
@@ -202,13 +203,10 @@ RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
   if (e->affinity == "none") tuned.affinity = AffinityPolicy::None;
   else if (e->affinity == "compact") tuned.affinity = AffinityPolicy::Compact;
   else if (e->affinity == "scatter") tuned.affinity = AffinityPolicy::Scatter;
-  // Wave-engine knobs (src/wave): advisory like the rest — untuned entries
-  // (pre-wave DBs) keep the caller's values.
-  if (e->nt_stores >= 0) tuned.nt_stores = e->nt_stores != 0;
-  if (e->unroll_t >= 0) tuned.unroll_t = e->unroll_t;
+  // MWD group width: advisory like the rest — untuned entries (older DBs)
+  // keep the caller's value.
   if (e->mwd_group > 0 && e->mwd_group <= opt.threads)
     tuned.mwd_group = e->mwd_group;
-  if (e->prefetch_dist >= 0) tuned.prefetch_dist = e->prefetch_dist;
   if (e->scheme == "Naive") {
     tuned.scheme = Scheme::Naive;
   } else if (e->scheme == "CATS1" && e->tz > 0) {
@@ -229,22 +227,6 @@ RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
   }
   // Unrecognized scheme names (newer DB version) leave opt untouched.
   return tuned;
-}
-
-int sanitize_unroll_t(int unroll_t) {
-  // 4 = wave::kMaxUnroll; kept literal so the selector layer does not pull in
-  // the wave engine (a static_assert in engine.hpp pins the two together).
-  constexpr int kMax = 4;
-  if (unroll_t >= 0 && unroll_t <= kMax) return unroll_t;
-  const int clamped = unroll_t < 0 ? 0 : kMax;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "cats: unroll_t=%d outside [0, %d]; clamped to %d "
-                 "(0 = auto, 1 = off, 2..%d = fixed fuse depth)\n",
-                 unroll_t, kMax, clamped, kMax);
-  }
-  return clamped;
 }
 
 int sanitize_mwd_group(int mwd_group, int threads, Scheme scheme) {

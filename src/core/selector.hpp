@@ -92,12 +92,6 @@ std::size_t resolve_cache_bytes(const RunOptions& opt);
 RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
                         const DomainShape& d);
 
-/// RunOptions::unroll_t sanitizer: values outside [0, 4] (4 = the wave
-/// engine's kMaxUnroll) are clamped — negative to 0 (auto), larger to 4 —
-/// with a one-time stderr diagnostic naming the original value. In-range
-/// values pass through untouched.
-int sanitize_unroll_t(int unroll_t);
-
 /// RunOptions::mwd_group sanitizer: same math as mwd_group_width
 /// (clamp to [1, threads], then the largest divisor of threads), but with a
 /// one-time stderr diagnostic when the request had to be adjusted, and a

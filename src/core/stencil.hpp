@@ -86,34 +86,6 @@ constexpr bool kernel_sequential_deps() {
   }
 }
 
-/// True when K exposes `prefetch_front(t, p, lines)` — a hint that the
-/// wavefront's leading edge will sweep the row/plane at traversal position
-/// p, timestep t shortly. Drivers (CATS1/CATS2) call it one position ahead
-/// of the slice being computed with RunOptions::prefetch_dist as the number
-/// of cache lines to start; kernels issue software prefetches clamped to
-/// their ghost range. Optional: absent members simply skip the hint.
-template <class K>
-constexpr bool kernel_has_prefetch_front =
-    requires(const K& k, int t, int p, int lines) {
-      k.prefetch_front(t, p, lines);
-    };
-
-/// True when K exposes the non-temporal write-back path `process_row_nt`
-/// (same arguments as process_row): identical arithmetic, but stores stream
-/// past the cache. The wave engine uses it only for trailing-wavefront slabs
-/// certified to leave cache (see plan/verify.hpp nt_store_eligible) and
-/// fences before the owning tile publishes.
-template <class K>
-constexpr bool kernel_has_row_nt_2d =
-    requires(K& k, int t, int y, int x0, int x1) {
-      k.process_row_nt(t, y, x0, x1);
-    };
-template <class K>
-constexpr bool kernel_has_row_nt_3d =
-    requires(K& k, int t, int y, int z, int x0, int x1) {
-      k.process_row_nt(t, y, z, x0, x1);
-    };
-
 /// Bytes per stored element — the paper lists "the memory size of a data
 /// type" among CATS's parameters. Kernels with non-double storage expose an
 /// element_bytes() member; everything else defaults to sizeof(double).

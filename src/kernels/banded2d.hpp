@@ -32,10 +32,6 @@ class Banded2D {
  public:
   static constexpr int kBands = 4 * S + 1;  // NS
 
-  /// Engine-side temporal fusion is legal: value reads lie in the slope-S
-  /// box at t-1 and band reads are time-invariant (wave/microkernel.hpp).
-  static constexpr bool wave_fusable = true;
-
   Banded2D(int width, int height)
       : buf_{Grid2D<T>(width, height, S, kDeferFirstTouch),
              Grid2D<T>(width, height, S, kDeferFirstTouch)} {
@@ -85,20 +81,6 @@ class Banded2D {
                       });
   }
 
-  /// Leading-edge hint: `lines` cache lines of the next source row plus its
-  /// center-band coefficients (the matrix entries stream alongside the
-  /// values).
-  void prefetch_front(int t, int p, int lines) const {
-    const int y = std::min(p + S, height() - 1 + S);
-    const T* r = buf_[(t - 1) & 1].row(y);
-    const T* b = bands_[0].row(std::min(y, height() - 1 + S));
-    constexpr int kPerLine = static_cast<int>(64 / sizeof(T));
-    for (int i = 0; i < lines; ++i) {
-      simd::prefetch_read(r + i * kPerLine);
-      simd::prefetch_read(b + i * kPerLine);
-    }
-  }
-
   /// g(b, x, y) -> coefficient of band b at row position (x, y).
   template <class G>
   void init_bands(G&& g) {
@@ -126,16 +108,9 @@ class Banded2D {
     span<Sc>(t, y, x0, x1);
   }
 
-  /// Non-temporal write-back path (see ConstStar2D::process_row_nt).
-  void process_row_nt(int t, int y, int x0, int x1) {
-    const int x = span<NtV>(t, y, x0, x1);
-    span<Sc>(t, y, x, x1);
-  }
-
  private:
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
-  using NtV = typename simd::vec_traits<T>::Nt;
 
   template <class V>
   int span(int t, int y, int x0, int x1) {

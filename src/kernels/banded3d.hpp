@@ -28,10 +28,6 @@ class Banded3D {
  public:
   static constexpr int kBands = 6 * S + 1;  // NS
 
-  /// Engine-side temporal fusion is legal: value reads lie in the slope-S
-  /// box at t-1 and band reads are time-invariant (wave/microkernel.hpp).
-  static constexpr bool wave_fusable = true;
-
   Banded3D(int width, int height, int depth)
       : buf_{Grid3D<T>(width, height, depth, S, kDeferFirstTouch),
              Grid3D<T>(width, height, depth, S, kDeferFirstTouch)} {
@@ -84,19 +80,6 @@ class Banded3D {
                       });
   }
 
-  /// Leading-edge hint: `lines` cache lines of the next source plane plus
-  /// its center-band coefficients.
-  void prefetch_front(int t, int p, int lines) const {
-    const int z = std::min(p + S, depth() - 1 + S);
-    const T* r = buf_[(t - 1) & 1].row(0, z);
-    const T* b = bands_[0].row(0, z);
-    constexpr int kPerLine = static_cast<int>(64 / sizeof(T));
-    for (int i = 0; i < lines; ++i) {
-      simd::prefetch_read(r + i * kPerLine);
-      simd::prefetch_read(b + i * kPerLine);
-    }
-  }
-
   template <class G>
   void init_bands(G&& g) {
     for (int b = 0; b < kBands; ++b)
@@ -124,16 +107,9 @@ class Banded3D {
     span<Sc>(t, y, z, x0, x1);
   }
 
-  /// Non-temporal write-back path (see ConstStar3D::process_row_nt).
-  void process_row_nt(int t, int y, int z, int x0, int x1) {
-    const int x = span<NtV>(t, y, z, x0, x1);
-    span<Sc>(t, y, z, x, x1);
-  }
-
  private:
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
-  using NtV = typename simd::vec_traits<T>::Nt;
 
   template <class V>
   int span(int t, int y, int z, int x0, int x1) {

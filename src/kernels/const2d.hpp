@@ -37,10 +37,6 @@ class ConstStar2D {
  public:
   static constexpr int kPoints = 4 * S + 1;
 
-  /// Engine-side temporal fusion is legal: all reads lie in the slope-S box
-  /// at t-1 (wave/microkernel.hpp stagger proof).
-  static constexpr bool wave_fusable = true;
-
   struct Weights {
     T center = 0;
     std::array<T, S> xm{}, xp{}, ym{}, yp{};
@@ -92,16 +88,6 @@ class ConstStar2D {
         opt.pin_cpus);
   }
 
-  /// Leading-edge hint (see kernel_has_prefetch_front): start `lines` cache
-  /// lines of the source row the wavefront sweeps next; the hardware
-  /// prefetcher continues the stream.
-  void prefetch_front(int t, int p, int lines) const {
-    const Grid2D<T>& src = buf_[(t - 1) & 1];
-    const T* r = src.row(std::min(p + S, height() - 1 + S));
-    constexpr int kPerLine = static_cast<int>(64 / sizeof(T));
-    for (int i = 0; i < lines; ++i) simd::prefetch_read(r + i * kPerLine);
-  }
-
   const Grid2D<T>& grid_at(int t) const { return buf_[t & 1]; }
   Grid2D<T>& grid_at(int t) { return buf_[t & 1]; }
 
@@ -123,18 +109,9 @@ class ConstStar2D {
     span<Sc>(t, y, x0, x1);
   }
 
-  /// Non-temporal write-back path: same arithmetic as process_row, stores
-  /// stream past the cache (simd::vec_traits<T>::Nt). Caller must
-  /// store_fence() before publishing (see wave engine).
-  void process_row_nt(int t, int y, int x0, int x1) {
-    const int x = span<NtV>(t, y, x0, x1);
-    span<Sc>(t, y, x, x1);
-  }
-
  private:
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
-  using NtV = typename simd::vec_traits<T>::Nt;
 
   /// Process x in [x0, x1) in V-width steps; returns the first unprocessed x.
   template <class V>

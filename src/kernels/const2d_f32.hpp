@@ -6,9 +6,8 @@
 //
 // Since the fp32 precision path became first-class this is just the float
 // instantiation of the shared ConstStar2D body (const2d.hpp): it carries the
-// full kernel surface — NUMA-aware parallel_init, prefetch_front, NT-store
-// write-back (NtVecF) and engine-side temporal fusion (wave_fusable) — not
-// the read-only subset the kernel started with.
+// full kernel surface — NUMA-aware parallel_init, process_row and
+// process_row_scalar — not the read-only subset the kernel started with.
 
 #include "kernels/const2d.hpp"
 

@@ -30,10 +30,6 @@ class ConstStar3D {
  public:
   static constexpr int kPoints = 6 * S + 1;
 
-  /// Engine-side temporal fusion is legal: all reads lie in the slope-S box
-  /// at t-1 (wave/microkernel.hpp stagger proof).
-  static constexpr bool wave_fusable = true;
-
   struct Weights {
     T center = 0;
     std::array<T, S> xm{}, xp{}, ym{}, yp{}, zm{}, zp{};
@@ -85,16 +81,6 @@ class ConstStar3D {
         opt.pin_cpus);
   }
 
-  /// Leading-edge hint: start `lines` cache lines of the next source plane's
-  /// first rows (the wavefront sweeps +z); the hardware prefetcher continues
-  /// each stream.
-  void prefetch_front(int t, int p, int lines) const {
-    const Grid3D<T>& src = buf_[(t - 1) & 1];
-    const T* r = src.row(0, std::min(p + S, depth() - 1 + S));
-    constexpr int kPerLine = static_cast<int>(64 / sizeof(T));
-    for (int i = 0; i < lines; ++i) simd::prefetch_read(r + i * kPerLine);
-  }
-
   const Grid3D<T>& grid_at(int t) const { return buf_[t & 1]; }
   Grid3D<T>& grid_at(int t) { return buf_[t & 1]; }
 
@@ -117,19 +103,9 @@ class ConstStar3D {
     span<Sc>(t, y, z, x0, x1);
   }
 
-  /// Non-temporal write-back path: same arithmetic as process_row, stores
-  /// stream past the cache. Temporal fusion interleaves whole rows
-  /// engine-side, so the NT store is the only per-kernel piece. Caller must
-  /// store_fence() before publishing.
-  void process_row_nt(int t, int y, int z, int x0, int x1) {
-    const int x = span<NtV>(t, y, z, x0, x1);
-    span<Sc>(t, y, z, x, x1);
-  }
-
  private:
   using Vec = typename simd::vec_traits<T>::Vec;
   using Sc = typename simd::vec_traits<T>::Scalar;
-  using NtV = typename simd::vec_traits<T>::Nt;
 
   template <class V>
   int span(int t, int y, int z, int x0, int x1) {

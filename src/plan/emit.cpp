@@ -103,7 +103,6 @@ TilePlan emit_cats1(int dims, std::int64_t nx, std::int64_t ny,
         tile.group = group;
         tile.first_in_group = u == r.lo;
         tile.publishes_progress = true;
-        tile.front_hints = true;
         tile.t0 = t0;
         tile.t1 = t0 + tz_c - 1;
         tile.u = u;
@@ -210,7 +209,6 @@ TilePlan emit_cats2(int dims, std::int64_t nx, std::int64_t ny,
                   tile.group = next_group++;
                   tile.first_in_group = true;
                   tile.publishes_done = true;
-                  tile.front_hints = true;
                   tile.t0 = static_cast<int>(tr.lo);
                   tile.t1 = static_cast<int>(tr.hi);
                   tile.di = i;
@@ -397,7 +395,7 @@ KernelCosts request_costs(const PlanRequest& rq) {
 /// by opt.cache_tenants), the per-point cost model (CS', element bytes), and
 /// per-scheme certify/clamped flags (certified only when the tile parameter
 /// came from Eq. 1/2, `clamped` when the selector floor inflated it past the
-/// cache bound). The certificate is what arms nt_store_eligible.
+/// cache bound).
 void apply_cache_model(TilePlan& p, Scheme scheme, const DomainShape& d,
                        const KernelCosts& costs, const RunOptions& opt) {
   // resolve_cache_bytes already divides Z by opt.cache_tenants (multi-tenant

@@ -106,7 +106,7 @@ TilePlan emit_cats3(std::int64_t nx, std::int64_t ny, std::int64_t nz, int T,
 /// each tube with a `group`-member thread group that pipelines the tube's
 /// interior wavefronts — member k computes wavefront w in window w + k, its
 /// share of the timestep range fixed by an equal-area band partition
-/// (wave/mwd.hpp has the schedule and its happens-before proof;
+/// (plan/mwd.hpp has the schedule and its happens-before proof;
 /// plan/execute.hpp runs it behind a per-group TeamBarrier with lead-only
 /// Done waits/publishes).
 ///

@@ -10,12 +10,12 @@
 // slab enumeration and the sync edges are the plan's, executing a plan is
 // exactly what the verifier reasons about (plan/verify.hpp).
 //
-// Each worker runs a private *copy* of the slab callback, so stateful
-// walkers (the wave engine's fusion/NT state, src/wave/engine.hpp) need no
-// sharing discipline; callbacks exposing end_tile() are notified after each
-// tile's slabs, before the tile publishes — the flush/fence point.
+// Every worker calls the one slab callback, which must therefore be safe to
+// invoke concurrently (the kernel walk of plan/kernel_walk.hpp holds no
+// state); a slab's kernel calls are complete when the callback returns, so
+// the tile's publish needs nothing beyond its own release.
 //
-// MWD groups (wave/mwd.hpp): an MWD plan's owners are thread groups of
+// MWD groups (plan/mwd.hpp): an MWD plan's owners are thread groups of
 // plan.mwd_group members each, so the pool runs threads * mwd_group workers.
 // Members pipeline each tube's wavefronts behind a per-group TeamBarrier;
 // only the group lead (member 0) performs the tile's edge waits and
@@ -34,12 +34,12 @@
 #include "check/oracle.hpp"
 #include "core/options.hpp"
 #include "core/stats.hpp"
+#include "plan/mwd.hpp"
 #include "plan/plan.hpp"
 #include "threads/barrier.hpp"
 #include "threads/progress.hpp"
 #include "threads/team_barrier.hpp"
 #include "threads/thread_pool.hpp"
-#include "wave/mwd.hpp"
 
 namespace cats::plan_ir {
 
@@ -65,17 +65,10 @@ struct EdgeIndex {
   }
 };
 
-/// Walkers with per-tile state (wave engine) flush it here; plain lambdas
-/// need nothing.
-template <class F>
-inline void finish_tile(F& f) {
-  if constexpr (requires { f.end_tile(); }) f.end_tile();
-}
-
 }  // namespace detail
 
-/// Execute `plan`, invoking a per-worker copy of slab_fn(const Slab&) for
-/// every slab, on plan.threads owners of plan.mwd_group workers each.
+/// Execute `plan`, invoking slab_fn(const Slab&) for every slab, on
+/// plan.threads owners of plan.mwd_group workers each.
 /// slab_fn runs on a worker thread with the dependence oracle (opt.oracle)
 /// already bound, so kernels report rows the usual way via check::note_row.
 template <class SlabFn>
@@ -110,7 +103,6 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
     const int tid = wid / m;     // plan-level owner (MWD group)
     const int member = wid % m;  // 0 == group lead
     const check::ScopedOracleThread oracle_bind(opt.oracle, wid);
-    auto fn = slab_fn;  // worker-private walker state (fusion buffers, ...)
     std::int64_t local_spins = 0, local_events = 0, local_ns = 0,
                  local_tiles = 0, local_barriers = 0;
     // TeamBarrier idle-spin accounting (RunStats team_wait_* breakdown,
@@ -157,18 +149,16 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
           }
         }
         if (m == 1) {
-          for_each_slab(plan, tile, fn);
-          detail::finish_tile(fn);
+          for_each_slab(plan, tile, slab_fn);
         } else {
           // MWD group: members pipeline the tube's wavefronts in contiguous
           // time bands behind per-window barriers (schedule + ordering proof
-          // in wave/mwd.hpp). The walker flushes inside every window and the
-          // walk ends with a barrier, so the members' work — NT stores
-          // fenced — is ordered before the lead's publish below; the first
+          // in plan/mwd.hpp). The walk ends with a barrier, so the members'
+          // work is ordered before the lead's publish below; the first
           // window's barrier releases the lead's acquired edge waits.
           TeamBarrier& tb = team_bar[static_cast<std::size_t>(tid)];
-          wave::mwd_walk_tile(plan, tile, member, m,
-                              [&] { team_cross(tb); }, fn);
+          mwd_walk_tile(plan, tile, member, m, [&] { team_cross(tb); },
+                        slab_fn);
         }
         if (member == 0) {
           if (tile.publishes_progress) {

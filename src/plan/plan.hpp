@@ -49,20 +49,12 @@ struct Box {
 /// One kernel-granularity unit: the box of points computed at timestep t in
 /// one uninterrupted stretch of a tile walk. `wavefront` groups the slabs
 /// that the scheme keeps cache-resident together (u for CATS1 columns, w for
-/// CATS2/3 tubes, t for rectangular tiles); `front` marks the wavefront's
-/// leading edge, where schemes issue prefetch hints.
+/// CATS2/3 tubes, t for rectangular tiles); the verifier's residency walk
+/// sums each wavefront's working set.
 struct Slab {
   int t = 0;
   Box box;
-  bool front = false;
   std::int64_t wavefront = 0;
-  /// This slab's output provably leaves cache before its next reader: it is
-  /// the tile's top timestep (t == tile.t1) of a wavefront scheme, so its
-  /// consumers run in the next chunk/diamond row after a full domain sweep.
-  /// The wave engine streams such slabs' stores past the cache when
-  /// RunOptions::nt_stores is set and the plan is NT-eligible
-  /// (plan/verify.hpp nt_store_eligible). Never set for SkewedBlock tiles.
-  bool trailing = false;
 };
 
 enum class TileKind : std::uint8_t {
@@ -82,7 +74,6 @@ struct Tile {
   bool first_in_group = false;
   bool publishes_progress = false;  ///< owner's ProgressCell.publish(u) after the tile
   bool publishes_done = false;      ///< this tile's DoneFlag.set() after the tile
-  bool front_hints = false;         ///< emit Slab::front on wavefront leading edges
   TileKind kind = TileKind::SkewedBlock;
 
   int t0 = 1, t1 = 0;  ///< inclusive timestep range (t0 = chunk base for columns)
@@ -218,7 +209,7 @@ CATS_PLAN_NO_UNSWITCH inline void for_each_slab(const TilePlan& p,
           b.zhi = std::min<std::int64_t>(tile.base.zhi - st, p.nz - 1);
         }
         if (b.empty()) continue;
-        f(Slab{t, b, false, t});
+        f(Slab{t, b, t});
       }
       break;
     }
@@ -235,8 +226,7 @@ CATS_PLAN_NO_UNSWITCH inline void for_each_slab(const TilePlan& p,
         } else {
           b.zlo = b.zhi = pos;
         }
-        f(Slab{t, b, tile.front_hints && tau == tile.tau_lo, tile.u,
-               t == tile.t1});
+        f(Slab{t, b, tile.u});
       }
       break;
     }
@@ -274,8 +264,7 @@ CATS_PLAN_NO_UNSWITCH inline void for_each_slab(const TilePlan& p,
               if (b.xhi < b.xlo) continue;
             }
           }
-          f(Slab{static_cast<int>(t), b, tile.front_hints && t == ts.lo, w,
-                 static_cast<int>(t) == tile.t1});
+          f(Slab{static_cast<int>(t), b, w});
         }
       }
       break;

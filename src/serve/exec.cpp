@@ -31,8 +31,6 @@ RunOptions job_run_options(const JobRequest& rq, const ExecEnv& env) {
   opt.threads = std::max(opt.threads, 1);
   opt.cache_bytes = rq.cache_bytes;
   opt.scheme = rq.scheme;
-  opt.nt_stores = rq.nt_stores;
-  opt.unroll_t = rq.unroll_t;
   opt.mwd_group = rq.mwd_group;
   opt.cache_tenants = env.cache_tenants;
   if (env.pin_cpus != nullptr && !env.pin_cpus->empty())
@@ -67,7 +65,7 @@ JobResult run_kernel(K& k, const JobRequest& rq, const RunOptions& opt,
                 ? static_cast<double>(n) * rq.t_steps / r.seconds / 1e6
                 : 0.0;
   r.model_dram_bytes =
-      model_bytes_for(exec, n, wmax, rq.t_steps, opt.threads, opt.nt_stores,
+      model_bytes_for(exec, n, wmax, rq.t_steps, opt.threads,
                       kernel_element_bytes(k));
 
   GridDigest dig(n, out_grid);
@@ -83,7 +81,7 @@ JobResult run_kernel(K& k, const JobRequest& rq, const RunOptions& opt,
 
 double model_bytes_for(const SchemeChoice& choice, std::int64_t n,
                        std::int64_t wmax, int t_steps, int tiles,
-                       bool nt_stores, double elem_bytes) {
+                       double elem_bytes) {
   if (t_steps <= 0 || n <= 0) return 0.0;
   TrafficInput in;
   in.n = static_cast<double>(n);
@@ -110,7 +108,7 @@ double model_bytes_for(const SchemeChoice& choice, std::int64_t n,
       bytes = naive_traffic_bytes(in);
       break;
   }
-  return nt_stores ? bytes : with_rfo_bytes(in, bytes);
+  return with_rfo_bytes(in, bytes);
 }
 
 JobResult execute_job(const JobRequest& rq, const ExecEnv& env,

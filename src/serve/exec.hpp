@@ -59,12 +59,11 @@ RunOptions job_run_options(const JobRequest& rq, const ExecEnv& env);
 /// Analytic DRAM-traffic estimate for what a run chose (mirrors the bench
 /// harness accounting): naive/CATS1/CATS2 closed forms from
 /// cachesim/traffic_model.hpp, CATS3 approximated by the CATS2 form,
-/// PlutoLike by naive, plus the RFO write-allocate correction unless NT
-/// stores were requested. `elem_bytes` is the storage size per point (4 for
-/// the fp32 families).
+/// PlutoLike by naive, plus the RFO write-allocate correction.
+/// `elem_bytes` is the storage size per point (4 for the fp32 families).
 double model_bytes_for(const SchemeChoice& choice, std::int64_t n,
                        std::int64_t wmax, int t_steps, int tiles,
-                       bool nt_stores, double elem_bytes = 8.0);
+                       double elem_bytes = 8.0);
 
 /// Run one job on one shard. `out_grid`, when non-null, receives the final
 /// grid (x fastest) for bit-exactness tests. Never throws: allocation or

@@ -107,8 +107,6 @@ bool validate_job(const JobRequest& rq, std::string* err) {
   if (rq.t_steps < 0 || rq.t_steps > kMaxTimesteps)
     return fail("timestep count out of range");
   if (rq.threads < 0) return fail("threads must be >= 0");
-  if (rq.unroll_t < 0 || rq.unroll_t > 4)
-    return fail("unroll_t out of range");
   if (rq.mwd_group < 0 || rq.mwd_group > 256)
     return fail("mwd_group out of range");
   return true;
@@ -145,11 +143,8 @@ bool parse_request(const std::string& line, Request* out, std::string* err) {
     ints.read("seed", j.seed);
     ints.read("threads", j.threads);
     ints.read("cache_bytes", j.cache_bytes);
-    ints.read("unroll_t", j.unroll_t);
     ints.read("mwd_group", j.mwd_group);
     if (!ints.ok(err)) return false;
-    if (const tune::JsonValue* nt = v.get("nt_stores"))
-      j.nt_stores = nt->kind == tune::JsonValue::Kind::Bool && nt->boolean;
     if (!parse_scheme(v.get_string("scheme", "auto"), &j.scheme)) {
       if (err != nullptr) *err = "unknown scheme";
       return false;
@@ -198,8 +193,6 @@ std::string encode_request(const Request& rq) {
     s += ",\"cache_bytes\":" + std::to_string(j.cache_bytes);
   if (j.scheme != Scheme::Auto)
     s += std::string(",\"scheme\":") + json_quote(scheme_wire_name(j.scheme));
-  if (j.nt_stores) s += ",\"nt_stores\":true";
-  if (j.unroll_t != 0) s += ",\"unroll_t\":" + std::to_string(j.unroll_t);
   if (j.mwd_group != 0) s += ",\"mwd_group\":" + std::to_string(j.mwd_group);
   if (j.split == JobRequest::Split::Never) s += R"(,"split":"never")";
   if (j.split == JobRequest::Split::Force) s += R"(,"split":"force")";

@@ -8,10 +8,8 @@
 // guaranteed x86-64 baseline, AVX2/AVX-512 when -march allows) behind one
 // type so kernels are written once.
 
-#include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #if defined(__AVX512F__)
 #include <immintrin.h>
@@ -26,31 +24,6 @@
 
 namespace cats::simd {
 
-/// Read-prefetch hint with low temporal locality (kernel prefetch_front
-/// implementations use it on the leading wavefront edge); no-op where the
-/// builtin is unavailable.
-inline void prefetch_read(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, 0, 1);
-#else
-  (void)p;
-#endif
-}
-
-/// Order non-temporal (write-combining) stores before subsequent stores.
-/// Streaming stores bypass the cache and are NOT ordered by an ordinary
-/// release store, so every NT write-back path must fence before publishing
-/// progress (wave engine: once per slab/tile boundary, never per row).
-inline void store_fence() {
-#if !defined(CATS_SCALAR_ONLY)
-  _mm_sfence();
-#else
-  // order: seq_cst — scalar fallback has no WC stores; a full fence is the
-  // conservative stand-in so the wave engine's contract holds everywhere.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-#endif
-}
-
 #if defined(__AVX512F__)
 
 inline constexpr int kWidth = 8;
@@ -64,8 +37,6 @@ struct VecD {
   static VecD zero() { return {_mm512_setzero_pd()}; }
   void store(double* p) const { _mm512_storeu_pd(p, v); }
   void store_aligned(double* p) const { _mm512_store_pd(p, v); }
-  /// Non-temporal (cache-bypassing) store; p must be 64-byte aligned.
-  void store_nt(double* p) const { _mm512_stream_pd(p, v); }
   friend VecD operator+(VecD a, VecD b) { return {_mm512_add_pd(a.v, b.v)}; }
   friend VecD operator-(VecD a, VecD b) { return {_mm512_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm512_mul_pd(a.v, b.v)}; }
@@ -89,8 +60,6 @@ struct VecD {
   static VecD zero() { return {_mm256_setzero_pd()}; }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
   void store_aligned(double* p) const { _mm256_store_pd(p, v); }
-  /// Non-temporal (cache-bypassing) store; p must be 32-byte aligned.
-  void store_nt(double* p) const { _mm256_stream_pd(p, v); }
   friend VecD operator+(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend VecD operator-(VecD a, VecD b) { return {_mm256_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
@@ -123,8 +92,6 @@ struct VecD {
   static VecD zero() { return {_mm_setzero_pd()}; }
   void store(double* p) const { _mm_storeu_pd(p, v); }
   void store_aligned(double* p) const { _mm_store_pd(p, v); }
-  /// Non-temporal (cache-bypassing) store; p must be 16-byte aligned.
-  void store_nt(double* p) const { _mm_stream_pd(p, v); }
   friend VecD operator+(VecD a, VecD b) { return {_mm_add_pd(a.v, b.v)}; }
   friend VecD operator-(VecD a, VecD b) { return {_mm_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm_mul_pd(a.v, b.v)}; }
@@ -148,7 +115,6 @@ struct VecD {
   static VecD zero() { return {0.0}; }
   void store(double* p) const { *p = v; }
   void store_aligned(double* p) const { *p = v; }
-  void store_nt(double* p) const { *p = v; }  ///< no NT stores without SIMD
   friend VecD operator+(VecD a, VecD b) { return {a.v + b.v}; }
   friend VecD operator-(VecD a, VecD b) { return {a.v - b.v}; }
   friend VecD operator*(VecD a, VecD b) { return {a.v * b.v}; }
@@ -174,8 +140,6 @@ struct VecF {
   static VecF zero() { return {_mm512_setzero_ps()}; }
   void store(float* p) const { _mm512_storeu_ps(p, v); }
   void store_aligned(float* p) const { _mm512_store_ps(p, v); }
-  /// Non-temporal (cache-bypassing) store; p must be 64-byte aligned.
-  void store_nt(float* p) const { _mm512_stream_ps(p, v); }
   friend VecF operator+(VecF a, VecF b) { return {_mm512_add_ps(a.v, b.v)}; }
   friend VecF operator-(VecF a, VecF b) { return {_mm512_sub_ps(a.v, b.v)}; }
   friend VecF operator*(VecF a, VecF b) { return {_mm512_mul_ps(a.v, b.v)}; }
@@ -196,8 +160,6 @@ struct VecF {
   static VecF zero() { return {_mm256_setzero_ps()}; }
   void store(float* p) const { _mm256_storeu_ps(p, v); }
   void store_aligned(float* p) const { _mm256_store_ps(p, v); }
-  /// Non-temporal (cache-bypassing) store; p must be 32-byte aligned.
-  void store_nt(float* p) const { _mm256_stream_ps(p, v); }
   friend VecF operator+(VecF a, VecF b) { return {_mm256_add_ps(a.v, b.v)}; }
   friend VecF operator-(VecF a, VecF b) { return {_mm256_sub_ps(a.v, b.v)}; }
   friend VecF operator*(VecF a, VecF b) { return {_mm256_mul_ps(a.v, b.v)}; }
@@ -222,8 +184,6 @@ struct VecF {
   static VecF zero() { return {_mm_setzero_ps()}; }
   void store(float* p) const { _mm_storeu_ps(p, v); }
   void store_aligned(float* p) const { _mm_store_ps(p, v); }
-  /// Non-temporal (cache-bypassing) store; p must be 16-byte aligned.
-  void store_nt(float* p) const { _mm_stream_ps(p, v); }
   friend VecF operator+(VecF a, VecF b) { return {_mm_add_ps(a.v, b.v)}; }
   friend VecF operator-(VecF a, VecF b) { return {_mm_sub_ps(a.v, b.v)}; }
   friend VecF operator*(VecF a, VecF b) { return {_mm_mul_ps(a.v, b.v)}; }
@@ -242,7 +202,6 @@ struct VecF {
   static VecF zero() { return {0.0f}; }
   void store(float* p) const { *p = v; }
   void store_aligned(float* p) const { *p = v; }
-  void store_nt(float* p) const { *p = v; }  ///< no NT stores without SIMD
   friend VecF operator+(VecF a, VecF b) { return {a.v + b.v}; }
   friend VecF operator-(VecF a, VecF b) { return {a.v - b.v}; }
   friend VecF operator*(VecF a, VecF b) { return {a.v * b.v}; }
@@ -307,87 +266,20 @@ struct ScalarD {
   double hsum() const { return v; }
 };
 
-/// Non-temporal twin of VecD: identical arithmetic, but store() streams past
-/// the cache when the destination is naturally aligned (and falls back to a
-/// plain unaligned store otherwise — x86 stream stores fault on misaligned
-/// addresses). Kernels instantiate their one `span<V>` body with NtVecD to
-/// get the cache-bypassing write-back path (process_row_nt) without a second
-/// copy of the stencil math; the alignment test is loop-invariant in
-/// practice (pointers advance by whole vectors), so the branch predicts
-/// perfectly. Values written are bit-identical either way — NT only changes
-/// *where* the line lands, never *what* is stored.
-///
-/// Callers MUST issue simd::store_fence() before any releasing publish that
-/// makes NT-written data visible to another thread: WC stores are not
-/// ordered by an ordinary release store.
-struct NtVecD {
-  static constexpr int width = VecD::width;
-  VecD inner;
-  static NtVecD load(const double* p) { return {VecD::load(p)}; }
-  static NtVecD load_aligned(const double* p) { return {VecD::load_aligned(p)}; }
-  static NtVecD broadcast(double x) { return {VecD::broadcast(x)}; }
-  static NtVecD zero() { return {VecD::zero()}; }
-  void store(double* p) const {
-    if ((reinterpret_cast<std::uintptr_t>(p) &
-         (sizeof(double) * width - 1)) == 0) {
-      inner.store_nt(p);
-    } else {
-      inner.store(p);
-    }
-  }
-  void store_aligned(double* p) const { inner.store_nt(p); }
-  friend NtVecD operator+(NtVecD a, NtVecD b) { return {a.inner + b.inner}; }
-  friend NtVecD operator-(NtVecD a, NtVecD b) { return {a.inner - b.inner}; }
-  friend NtVecD operator*(NtVecD a, NtVecD b) { return {a.inner * b.inner}; }
-  static NtVecD fma(NtVecD a, NtVecD b, NtVecD c) {
-    return {VecD::fma(a.inner, b.inner, c.inner)};
-  }
-  double hsum() const { return inner.hsum(); }
-};
-
-/// Non-temporal twin of VecF — same contract as NtVecD (bit-identical
-/// arithmetic, streaming store when naturally aligned, store_fence() required
-/// before any releasing publish of NT-written data).
-struct NtVecF {
-  static constexpr int width = VecF::width;
-  VecF inner;
-  static NtVecF load(const float* p) { return {VecF::load(p)}; }
-  static NtVecF load_aligned(const float* p) { return {VecF::load_aligned(p)}; }
-  static NtVecF broadcast(float x) { return {VecF::broadcast(x)}; }
-  static NtVecF zero() { return {VecF::zero()}; }
-  void store(float* p) const {
-    if ((reinterpret_cast<std::uintptr_t>(p) &
-         (sizeof(float) * width - 1)) == 0) {
-      inner.store_nt(p);
-    } else {
-      inner.store(p);
-    }
-  }
-  void store_aligned(float* p) const { inner.store_nt(p); }
-  friend NtVecF operator+(NtVecF a, NtVecF b) { return {a.inner + b.inner}; }
-  friend NtVecF operator-(NtVecF a, NtVecF b) { return {a.inner - b.inner}; }
-  friend NtVecF operator*(NtVecF a, NtVecF b) { return {a.inner * b.inner}; }
-  static NtVecF fma(NtVecF a, NtVecF b, NtVecF c) {
-    return {VecF::fma(a.inner, b.inner, c.inner)};
-  }
-};
-
 /// Element-type -> vector-family map. Kernels templated on their element type
-/// (ConstStar2D<S, T>) pull their wide, scalar-twin, and non-temporal vector
-/// types from here so the one stencil body serves both precisions.
+/// (ConstStar2D<S, T>) pull their wide and scalar-twin vector types from
+/// here so the one stencil body serves both precisions.
 template <class T>
 struct vec_traits;
 template <>
 struct vec_traits<double> {
   using Vec = VecD;
   using Scalar = ScalarD;
-  using Nt = NtVecD;
 };
 template <>
 struct vec_traits<float> {
   using Vec = VecF;
   using Scalar = ScalarF;
-  using Nt = NtVecF;
 };
 
 }  // namespace cats::simd

@@ -1,6 +1,6 @@
 #pragma once
 // Sense-reversing barrier for one intra-tile *team*: the m members of an
-// MWD thread group (wave/mwd.hpp), which share one diamond tube and
+// MWD thread group (plan/mwd.hpp), which share one diamond tube and
 // pipeline its wavefronts. The group crosses this barrier once per
 // wavefront window, so a member never starts window k+1 before every member
 // has finished window k — the ordering the MWD band lemma relies on.

@@ -76,19 +76,18 @@ bool TuneDb::load(const std::string& path) {
     r.entry.affinity = e.get_string("affinity");  // absent in pre-affinity DBs
     // Integer fields are read checked: a fraction, a non-finite number or a
     // value outside the field's type drops the row instead of truncating.
-    // Absent fields keep the Row defaults; for the wave knobs (absent in
-    // pre-wave DBs) that means "keep the caller's value", so old files stay
-    // fully usable. bz/bx become int overrides (apply_tuning).
+    // Absent fields keep the Row defaults; for mwd_group (absent in older
+    // DBs) that means "keep the caller's value", so old files stay fully
+    // usable. Fields of retired knobs (nt_stores, unroll_t, prefetch_dist,
+    // temporal_vec, team_size) are not read: rows carrying them load with
+    // the fields ignored. bz/bx become int overrides (apply_tuning).
     constexpr long long kIntMax = std::numeric_limits<int>::max();
     const bool ints_ok = e.get_int("threads", r.key.threads) &&
                          e.get_int("tz", r.entry.tz) &&
                          e.get_int("bz", r.entry.bz, 0, kIntMax) &&
                          e.get_int("bx", r.entry.bx, 0, kIntMax) &&
                          e.get_int("run_threads", r.entry.run_threads) &&
-                         e.get_int("nt_stores", r.entry.nt_stores) &&
-                         e.get_int("unroll_t", r.entry.unroll_t) &&
                          e.get_int("mwd_group", r.entry.mwd_group) &&
-                         e.get_int("prefetch_dist", r.entry.prefetch_dist) &&
                          e.get_int("cache_bytes", r.entry.cache_bytes);
     r.entry.pilot_seconds = e.get_number("pilot_seconds");
     r.entry.analytic_seconds = e.get_number("analytic_seconds");
@@ -122,10 +121,7 @@ bool TuneDb::save(const std::string& path) const {
        << "\"bx\": " << r.entry.bx << ", "
        << "\"run_threads\": " << r.entry.run_threads << ", "
        << "\"affinity\": " << json_quote(r.entry.affinity) << ", "
-       << "\"nt_stores\": " << r.entry.nt_stores << ", "
-       << "\"unroll_t\": " << r.entry.unroll_t << ", "
        << "\"mwd_group\": " << r.entry.mwd_group << ", "
-       << "\"prefetch_dist\": " << r.entry.prefetch_dist << ", "
        << "\"pilot_seconds\": " << json_number(r.entry.pilot_seconds) << ", "
        << "\"analytic_seconds\": " << json_number(r.entry.analytic_seconds) << ", "
        << "\"cache_bytes\": " << r.entry.cache_bytes << ", "

@@ -15,8 +15,7 @@ void push_unique(std::vector<Candidate>& out, const Candidate& c) {
   for (const Candidate& e : out) {
     if (e.scheme == c.scheme && e.tz == c.tz && e.bz == c.bz &&
         e.bx == c.bx && e.affinity == c.affinity &&
-        e.nt_stores == c.nt_stores && e.unroll_t == c.unroll_t &&
-        e.mwd_group == c.mwd_group && e.prefetch_dist == c.prefetch_dist)
+        e.mwd_group == c.mwd_group)
       return;
   }
   out.push_back(c);
@@ -98,10 +97,7 @@ RunOptions options_for_candidate(const RunOptions& base, const Candidate& c) {
   o.bx_override = static_cast<int>(c.bx);
   if (c.threads > 0) o.threads = c.threads;
   if (c.affinity >= 0) o.affinity = static_cast<AffinityPolicy>(c.affinity);
-  if (c.nt_stores >= 0) o.nt_stores = c.nt_stores != 0;
-  if (c.unroll_t >= 0) o.unroll_t = c.unroll_t;
   if (c.mwd_group > 0) o.mwd_group = c.mwd_group;
-  if (c.prefetch_dist >= 0) o.prefetch_dist = c.prefetch_dist;
   return o;
 }
 

@@ -31,15 +31,11 @@ struct TuneConfig {
   bool cross_scheme = true;      ///< also try the neighboring CATS scheme
   bool tune_threads = true;      ///< re-time the winner at threads/2
   bool tune_affinity = true;     ///< re-time the winner under each pin policy
-  bool tune_wave = true;         ///< re-time the winner along the wave axes
-                                 ///< (nt_stores / unroll_t / mwd_group /
-                                 ///< prefetch_dist, src/wave)
 };
 
 /// One point of the search grid. `threads` 0 = the caller's thread count;
-/// `affinity` -1 = the caller's policy, else an AffinityPolicy value. The
-/// wave-engine axes follow the same convention: negative (or 0 for
-/// mwd_group) = keep the caller's RunOptions value.
+/// `affinity` -1 = the caller's policy, else an AffinityPolicy value;
+/// `mwd_group` 0 = the caller's RunOptions value.
 struct Candidate {
   Scheme scheme = Scheme::Auto;
   int tz = 0;
@@ -47,10 +43,7 @@ struct Candidate {
   std::int64_t bx = 0;
   int threads = 0;
   int affinity = -1;
-  int nt_stores = -1;      ///< -1 caller's; 0 off; 1 on
-  int unroll_t = -1;       ///< -1 caller's; else RunOptions::unroll_t
-  int mwd_group = 0;       ///< 0 caller's; else RunOptions::mwd_group
-  int prefetch_dist = -1;  ///< -1 caller's; else RunOptions::prefetch_dist
+  int mwd_group = 0;
 };
 
 struct Measured {
@@ -163,55 +156,28 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
       }
     }
 
-    // Wave-engine axes (src/wave): re-time the winner with each knob moved
-    // off its base value, one at a time — the axes are near-independent
-    // (NT stores trade RFO traffic, temporal unroll trades loads, MWD groups
-    // trade tube parallelism for pooled cache), so a coordinate sweep
-    // recovers most of the joint optimum at a fraction of the grid cost.
-    // Each probe sticks only if it wins.
-    if (cfg.tune_wave && budget.seconds() <= cfg.budget_seconds) {
-      auto probe = [&](Candidate c) {
-        if (budget.seconds() > cfg.budget_seconds) return;
+    // MWD group-width axis: pooling g threads on one diamond trades tube
+    // parallelism for sqrt(g) wider diamonds (plan/emit.hpp emit_mwd).
+    // Only widths that tile the worker pool are legal (mwd_group_width),
+    // and the knob only matters when the candidate runs Scheme::Mwd — so
+    // probe it on an explicit MWD switch of the winner. Each probe sticks
+    // only if it wins.
+    if (d.dims >= 2 && opt.threads > 1) {
+      for (int gw : {2, 4}) {
+        if (gw > opt.threads || opt.threads % gw != 0) continue;
+        if (budget.seconds() > cfg.budget_seconds) break;
+        Candidate c = res.best;
+        c.scheme = Scheme::Mwd;
+        c.tz = 0;
+        c.bx = 0;
+        c.bz = 0;  // re-derive via Eq. 2 at the pooled budget Z*gw
+        c.mwd_group = gw;
         const double secs = time_candidate(c);
         res.all.push_back({c, secs});
         if (secs < res.best_seconds) {
           res.best = c;
           res.best_seconds = secs;
         }
-      };
-      {
-        Candidate c = res.best;
-        c.nt_stores = base.nt_stores ? 0 : 1;
-        probe(c);
-      }
-      for (int u : {1, 2, 4}) {
-        if (u == (base.unroll_t == 0 ? 4 : base.unroll_t)) continue;
-        Candidate c = res.best;
-        c.unroll_t = u;
-        probe(c);
-      }
-      // MWD group-width axis: pooling g threads on one diamond trades tube
-      // parallelism for sqrt(g) wider diamonds (plan/emit.hpp emit_mwd).
-      // Only widths that tile the worker pool are legal (mwd_group_width),
-      // and the knob only matters when the candidate runs Scheme::Mwd — so
-      // probe it on an explicit MWD switch of the winner.
-      if (d.dims >= 2 && opt.threads > 1) {
-        for (int gw : {2, 4}) {
-          if (gw > opt.threads || opt.threads % gw != 0) continue;
-          Candidate c = res.best;
-          c.scheme = Scheme::Mwd;
-          c.tz = 0;
-          c.bx = 0;
-          c.bz = 0;  // re-derive via Eq. 2 at the pooled budget Z*gw
-          c.mwd_group = gw;
-          probe(c);
-        }
-      }
-      for (int pf : {0, 8}) {
-        if (pf == base.prefetch_dist) continue;
-        Candidate c = res.best;
-        c.prefetch_dist = pf;
-        probe(c);
       }
     }
 
@@ -231,10 +197,7 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
       res.best.affinity < 0
           ? ""
           : affinity_policy_name(static_cast<AffinityPolicy>(res.best.affinity));
-  res.entry.nt_stores = res.best.nt_stores;
-  res.entry.unroll_t = res.best.unroll_t;
   res.entry.mwd_group = res.best.mwd_group;
-  res.entry.prefetch_dist = res.best.prefetch_dist;
   res.entry.pilot_seconds = res.best_seconds;
   res.entry.analytic_seconds = res.analytic_seconds;
   res.entry.cache_bytes = base.cache_bytes;

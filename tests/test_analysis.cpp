@@ -72,29 +72,50 @@ TEST(ModelCheck, MinimalitySweepRefutesWeakeningsAndAuditsPinLatch) {
 TEST(Footprint, CleanKernelCertifiesOverCats1) {
   constexpr int S = 2;
   ConstStar2D<S, RecElem64> k(48, 16, default_star2d_weights<S, RecElem64>());
-  plan_ir::TilePlan p = plan_ir::emit_cats1(2, 48, 16, 1, 4, S, 2, 2);
-  p.certify_residency = true;
-  p.clamped = false;
+  const plan_ir::TilePlan p = plan_ir::emit_cats1(2, 48, 16, 1, 4, S, 2, 2);
   FootprintChecker chk(2, S);
   chk.add_state_grid_2d(k.grid_at(0), 0, "buf0");
   chk.add_state_grid_2d(k.grid_at(1), 1, "buf1");
-  RunOptions opt;
-  opt.threads = p.threads;
-  opt.nt_stores = true;
-  opt.unroll_t = 0;
-  opt.prefetch_dist = 0;
   RecWrap2D<ConstStar2D<S, RecElem64>> wrap(k, chk);
-  drive_plan_2d(wrap, p, opt, chk);
+  drive_plan(wrap, p, chk);
+  chk.check_complete(p.T);
   for (const auto& d : chk.diags()) ADD_FAILURE() << d.message;
   EXPECT_GT(chk.loads(), 0);
   EXPECT_GT(chk.stores(), 0);
 }
 
 TEST(Footprint, FullSweepCertifies) {
-  for (const auto& rep : footprint_sweep()) {
+  const auto reports = footprint_sweep();
+  // 3 2D families x 4 schemes + 2 3D families x 5 schemes.
+  EXPECT_EQ(reports.size(), 22U);
+  for (const auto& rep : reports) {
     for (const auto& d : rep.diags)
       ADD_FAILURE() << rep.config << ": " << d.message;
   }
+}
+
+/// A walk that skips a slab leaves elements at their old version:
+/// check_complete must name one.
+TEST(Footprint, SkippedSlabFlaggedIncomplete) {
+  constexpr int S = 1;
+  ConstStar2D<S, RecElem64> k(32, 12, default_star2d_weights<S, RecElem64>());
+  const plan_ir::TilePlan p = plan_ir::emit_naive(2, 32, 12, 1, 3, S, 1);
+  FootprintChecker chk(2, S);
+  chk.add_state_grid_2d(k.grid_at(0), 0, "buf0");
+  chk.add_state_grid_2d(k.grid_at(1), 1, "buf1");
+  RecWrap2D<ConstStar2D<S, RecElem64>> wrap(k, chk);
+  chk.install();
+  for (const plan_ir::Tile& tile : p.tiles) {
+    plan_ir::for_each_slab(p, tile, [&](const plan_ir::Slab& sl) {
+      if (sl.t != 3) plan_ir::walk_slab(wrap, sl);
+    });
+  }
+  FootprintChecker::uninstall();
+  chk.check_complete(p.T);
+  ASSERT_EQ(chk.diags().size(), 1U);
+  const std::string& m = chk.diags().front().message;
+  EXPECT_NE(m.find("incomplete walk"), std::string::npos) << m;
+  EXPECT_NE(m.find("expected t=3"), std::string::npos) << m;
 }
 
 /// Doctored access #1: a load one row beyond the slope-S halo must be
@@ -108,8 +129,8 @@ TEST(Footprint, OffByOneHaloReadFlagged) {
   chk.add_state_grid_2d(dst, 1, "buf1");
   chk.install();
   {
-    const FpStage st{1, 5, 0, 0, 16, false};
-    FpCallScope scope(chk, &st, 1);
+    const FpStage st{1, 5, 0, 0, 16};
+    FpCallScope scope(chk, st);
     // Stage row y=5 at slope 2 may read rows 3..7; row 2 is one too far.
     (void)RecVec64::load(src.row(5 - S - 1) + 4);
   }
@@ -121,11 +142,12 @@ TEST(Footprint, OffByOneHaloReadFlagged) {
   EXPECT_NE(m.find("y=2"), std::string::npos) << m;
 }
 
-/// Doctored access #2: a misaligned stream store (store_aligned streams
-/// unconditionally) must be a hard alignment diagnostic, again with exact
-/// coordinates.
-TEST(Footprint, MisalignedStreamStoreFlagged) {
-  if constexpr (RecNtVec64::width > 1) {
+/// Doctored access #2: an aligned store one element off natural vector
+/// alignment must be a hard alignment diagnostic, again with exact
+/// coordinates. The production row bodies use only unaligned accesses, so
+/// this is the test that keeps the alignment rule honest.
+TEST(Footprint, MisalignedAlignedStoreFlagged) {
+  if constexpr (RecVec64::width > 1) {
     constexpr int S = 2;
     Grid2D<RecElem64> src(32, 12, S);
     Grid2D<RecElem64> dst(32, 12, S);
@@ -134,52 +156,22 @@ TEST(Footprint, MisalignedStreamStoreFlagged) {
     chk.add_state_grid_2d(dst, 1, "buf1");
     chk.install();
     {
-      const FpStage st{1, 5, 0, 0, 32, true};
-      FpCallScope scope(chk, &st, 1);
+      const FpStage st{1, 5, 0, 0, 32};
+      FpCallScope scope(chk, st);
       // Geometrically legal, but one element off natural vector alignment.
-      RecNtVec64 v{};
+      const RecVec64 v{};
       v.store_aligned(dst.row(5) + 1);
     }
     FootprintChecker::uninstall();
     ASSERT_EQ(chk.diags().size(), 1U);
     const std::string& m = chk.diags().front().message;
-    EXPECT_NE(m.find("misaligned stream store"), std::string::npos) << m;
+    EXPECT_NE(m.find("misaligned aligned store"), std::string::npos) << m;
     EXPECT_NE(m.find("x=1"), std::string::npos) << m;
     EXPECT_NE(m.find("y=5"), std::string::npos) << m;
   }
 }
 
-/// Doctored access #3: reloading a cache line that was streamed within the
-/// same tile falsifies the NT residency certification.
-TEST(Footprint, StreamedLineReloadFlagged) {
-  constexpr int S = 1;
-  Grid2D<RecElem64> src(32, 12, S);
-  Grid2D<RecElem64> dst(32, 12, S);
-  FootprintChecker chk(2, S);
-  chk.add_state_grid_2d(src, 0, "buf0");
-  chk.add_state_grid_2d(dst, 1, "buf1");
-  chk.install();
-  chk.begin_tile();
-  {
-    const FpStage st{1, 5, 0, 0, 32, true};
-    FpCallScope scope(chk, &st, 1);
-    RecNtVec64 v{};
-    v.store_aligned(dst.row(5));  // rows are 64-byte aligned: streams
-  }
-  {
-    const FpStage st{2, 5, 0, 0, 32, false};
-    FpCallScope scope(chk, &st, 1);
-    (void)RecVec64::load(dst.row(5));  // same line, same tile: flagged
-  }
-  chk.end_tile();
-  FootprintChecker::uninstall();
-  ASSERT_EQ(chk.diags().size(), 1U);
-  EXPECT_NE(chk.diags().front().message.find("streamed within this tile"),
-            std::string::npos)
-      << chk.diags().front().message;
-}
-
-/// Doctored access #4: one stage storing the same vector twice. No row body
+/// Doctored access #3: one stage storing the same vector twice. No row body
 /// rewrites a value, so the second store is a version violation, reported
 /// with its coordinates and timestep.
 TEST(Footprint, DoubleStoreFlagged) {
@@ -191,8 +183,8 @@ TEST(Footprint, DoubleStoreFlagged) {
   chk.add_state_grid_2d(dst, 1, "buf1");
   chk.install();
   {
-    const FpStage st{1, 5, 0, 0, 32, false};
-    FpCallScope scope(chk, &st, 1);
+    const FpStage st{1, 5, 0, 0, 32};
+    FpCallScope scope(chk, st);
     const RecVec64 v{};
     v.store(dst.row(5) + 8);
     v.store(dst.row(5) + 8);  // same elements, same timestep: flagged

@@ -1,6 +1,5 @@
-// Single-precision kernel tests: bit-exact scheme equivalence in float
-// (including the wave engine's fusion / NT-store / temporal-vectorization
-// paths) and the element-size effect on Eq. 1/2 tile sizing and residency
+// Single-precision kernel tests: bit-exact scheme equivalence in float and
+// the element-size effect on Eq. 1/2 tile sizing and residency
 // certification.
 
 #include <gtest/gtest.h>
@@ -61,45 +60,6 @@ TEST(Float32, AllSchemesBitExactVsReference) {
   }
 }
 
-TEST(Float32, WaveEngineBitExact) {
-  // Fusion and NT stores are execution-order / store-path changes only, so
-  // every composition must reproduce the plain (unfused, plain-store) fp32
-  // walk bit for bit — same contract as the fp64 wave tests, instantiated
-  // for the float element type (VecF width 2x).
-  auto make = [] {
-    FloatStar2D<1> k(73, 59, weights_f32());
-    k.init(
-        [](int x, int y) { return static_cast<float>(cats::test::init2d(x, y)); },
-        0.25f);
-    return k;
-  };
-  const int T = 14;
-  for (Scheme s : {Scheme::Cats1, Scheme::Cats2}) {
-    RunOptions plain;
-    plain.scheme = s;
-    plain.threads = 2;
-    plain.cache_bytes = 32 * 1024;
-    plain.unroll_t = 1;
-    auto ref = make();
-    run(ref, T, plain);
-    std::vector<double> want;
-    ref.copy_result_to(want, T);
-    for (int u : {0, 4}) {
-      RunOptions opt = plain;
-      opt.unroll_t = u;
-      opt.nt_stores = true;
-      auto k = make();
-      run(k, T, opt);
-      std::vector<double> got;
-      k.copy_result_to(got, T);
-      expect_bit_equal(got, want,
-                       (std::string("f32 wave ") + scheme_name(s) +
-                        " unroll=" + std::to_string(u))
-                           .c_str());
-    }
-  }
-}
-
 TEST(Float32, ElementBytesTrait) {
   FloatStar2D<1> f(8, 8, weights_f32());
   EXPECT_DOUBLE_EQ(kernel_element_bytes(f), 4.0);
@@ -130,9 +90,9 @@ TEST(Float32, SmallerElementsWidenTheDiamond) {
 
 TEST(Float32, ReducedElementSizeArmsResidencyCertification) {
   // A cache just below one minimal fp64 diamond's working set but above the
-  // fp32 one: the fp64 plan hits the 2s floor (clamped -> no residency
-  // certificate, NT stores refused) while the fp32 plan of the same domain
-  // certifies and arms NT eligibility. Eq. 2 raw BZ is sqrt(2Z/(E*CS')), so
+  // fp32 one: the fp64 plan hits the 2s floor (clamped: residency
+  // violations downgrade to warnings) while the fp32 plan of the same
+  // domain certifies unclamped. Eq. 2 raw BZ is sqrt(2Z/(E*CS')), so
   // with s=1, CS'=2.8 the 2s floor sits at Z=44.8 bytes for E=8 and
   // Z=22.4 bytes for E=4; Z=40 lands between them.
   plan_ir::PlanRequest rq;
@@ -155,8 +115,6 @@ TEST(Float32, ReducedElementSizeArmsResidencyCertification) {
   EXPECT_TRUE(p32.certify_residency);
   EXPECT_TRUE(p64.clamped);
   EXPECT_FALSE(p32.clamped);
-  EXPECT_FALSE(plan_ir::nt_store_eligible(p64));
-  EXPECT_TRUE(plan_ir::nt_store_eligible(p32));
 }
 
 TEST(Float32, PlanUsesElementSize) {

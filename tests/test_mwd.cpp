@@ -1,8 +1,8 @@
 // MWD (multicore wavefront-diamond) integration and verifier tests.
 //
 // Positive: MWD reproduces the serial reference bit-exactly across kernel
-// families, group widths, unroll factors, NT stores (2D and 3D) and
-// temporal vectorization; a full run under the dependence oracle is clean
+// families, group widths and slopes (2D and 3D); a full run under the
+// dependence oracle is clean
 // with every point checked exactly once; every emitted MWD plan verifies
 // clean at the pooled group budget. Negative: severing one wavefront Done
 // edge from an MWD plan yields the exact DepUncovered pair, and an
@@ -26,8 +26,8 @@
 #include "kernels/const3d.hpp"
 #include "kernels/fdtd2d.hpp"
 #include "plan/emit.hpp"
+#include "plan/mwd.hpp"
 #include "plan/verify.hpp"
-#include "wave/mwd.hpp"
 
 using namespace cats;
 using cats::test::expect_bit_equal;
@@ -106,24 +106,6 @@ INSTANTIATE_TEST_SUITE_P(
                           std::tuple{64, 64, 20},   // powers of two
                           std::tuple{16, 128, 11}), // tall & narrow
         ::testing::Values(8, 64)));                 // tiny + small cache
-
-// ---------------------------------------------------------------------------
-// Option cross: unroll x NT stores
-// ---------------------------------------------------------------------------
-
-TEST(Mwd, WaveOptionCross) {
-  const auto want = reference_const2d<1>(48, 40, 12);
-  for (int u : {0, 1, 3}) {
-    for (bool nt : {false, true}) {
-      RunOptions opt = mwd_options(4, 2, 32 * 1024);
-      opt.unroll_t = u;
-      opt.nt_stores = nt;
-      const std::string label =
-          "u=" + std::to_string(u) + " nt=" + std::to_string(nt);
-      expect_bit_equal(mwd_const2d<1>(48, 40, 12, opt), want, label.c_str());
-    }
-  }
-}
 
 TEST(Mwd, HigherSlopes) {
   RunOptions opt = mwd_options(4, 2, 32 * 1024);
@@ -221,23 +203,12 @@ TEST(Mwd, Banded3D) {
   std::vector<double> want;
   ref.copy_result_to(want, 8);
 
-  for (bool nt : {false, true}) {
-    // NT on: every member fences its own trailing stores before the group's
-    // final barrier and the lead's publish (wave/mwd.hpp).
-    RunOptions opt = mwd_options(4, 2, 32 * 1024);
-    opt.nt_stores = nt;
-    Banded3D<1> k(16, 12, 20);
-    make(k);
-    if (nt) {
-      // Not vacuous: the plan run() executes arms the streaming stores.
-      EXPECT_TRUE(plan_ir::nt_store_eligible(
-          plan_ir::emit_plan(plan_request(k, 8, opt))));
-    }
-    run(k, 8, opt);
-    std::vector<double> got;
-    k.copy_result_to(got, 8);
-    expect_bit_equal(got, want, nt ? "banded3d nt" : "banded3d");
-  }
+  Banded3D<1> k(16, 12, 20);
+  make(k);
+  run(k, 8, mwd_options(4, 2, 32 * 1024));
+  std::vector<double> got;
+  k.copy_result_to(got, 8);
+  expect_bit_equal(got, want, "banded3d");
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +238,7 @@ TEST(Mwd, SanitizerRejectsGroupOnOtherSchemes) {
 }
 
 // ---------------------------------------------------------------------------
-// Member band partition properties (wave/mwd.hpp)
+// Member band partition properties (plan/mwd.hpp)
 // ---------------------------------------------------------------------------
 
 TEST(Mwd, BandPartitionCoversMonotonically) {
@@ -279,7 +250,7 @@ TEST(Mwd, BandPartitionCoversMonotonically) {
     const DiamondTiling dt{static_cast<int>(p.slope), p.bz, p.nx,
                            tile.t0, tile.t1};
     for (int m : {1, 2, 4}) {
-      const std::vector<int> band = wave::mwd_band_partition(dt, tile, m);
+      const std::vector<int> band = plan_ir::mwd_band_partition(dt, tile, m);
       ASSERT_EQ(band.size(), static_cast<std::size_t>(tile.t1 - tile.t0 + 1));
       int prev = 0;
       for (const int b : band) {

@@ -5,11 +5,13 @@
 
 #include <cmath>
 
+#include "core/run.hpp"
 #include "core/selector.hpp"
 #include "core/stencil.hpp"
 #include "kernels/banded2d.hpp"
 #include "kernels/const2d.hpp"
 #include "kernels/fdtd2d.hpp"
+#include "plan/emit.hpp"
 
 using namespace cats;
 
@@ -220,4 +222,30 @@ TEST(Selector, Cats3BzClampedBelowAtTwoSlope) {
   EXPECT_EQ(c.scheme, Scheme::Cats3);
   EXPECT_EQ(c.bz, 4);
   EXPECT_EQ(c.bx, 4);
+}
+
+/// A bz_override below the 2s minimum diamond is clamped on the Auto path
+/// too: plan() (and so run()'s returned choice) reports the width the
+/// emitted plan executes, for CATS2 and for the MWD branch.
+template <int S>
+void expect_auto_bz_matches_plan(int group) {
+  ConstStar2D<S> k(1024, 1024, default_star2d_weights<S>());
+  RunOptions opt;
+  opt.cache_bytes = 64 * 1024;
+  opt.bz_override = 2 * S - 1;
+  opt.threads = group;
+  opt.mwd_group = group;
+  const int T = 32;
+  const SchemeChoice c = plan(k, T, opt);
+  EXPECT_EQ(c.scheme, group > 1 ? Scheme::Mwd : Scheme::Cats2);
+  const plan_ir::TilePlan p = plan_ir::emit_plan(plan_request(k, T, opt), c);
+  EXPECT_EQ(c.bz, p.bz) << "slope " << S << " group " << group;
+  EXPECT_EQ(c.bz, 2 * S);
+}
+
+TEST(Selector, AutoClampsBzOverrideLikeExplicitCats2) {
+  expect_auto_bz_matches_plan<1>(1);
+  expect_auto_bz_matches_plan<2>(1);
+  expect_auto_bz_matches_plan<1>(2);
+  expect_auto_bz_matches_plan<2>(2);
 }

@@ -79,7 +79,6 @@ TEST(ServeProtocol, SubmitRoundTrip) {
   rq.job.tenant = "alice \"quoted\"";
   rq.job.threads = 3;
   rq.job.scheme = Scheme::Cats2;
-  rq.job.nt_stores = true;
   rq.job.split = JobRequest::Split::Force;
 
   Request back;
@@ -94,13 +93,35 @@ TEST(ServeProtocol, SubmitRoundTrip) {
   EXPECT_EQ(back.job.seed, 7u);
   EXPECT_EQ(back.job.threads, 3);
   EXPECT_EQ(back.job.scheme, Scheme::Cats2);
-  EXPECT_TRUE(back.job.nt_stores);
   EXPECT_EQ(back.job.split, JobRequest::Split::Force);
 
   // The largest seed the double-based wire parser carries exactly.
   rq.job.seed = (std::uint64_t{1} << 53) - 1;
   ASSERT_TRUE(parse_request(encode_request(rq), &back, &err)) << err;
   EXPECT_EQ(back.job.seed, (std::uint64_t{1} << 53) - 1);
+}
+
+TEST(ServeProtocol, RetiredFieldsAreIgnored) {
+  // Older clients still send the fields of the deleted NT-store and
+  // temporal-fusion knobs: the request parses like one carrying any unknown
+  // field, and runs to the checksum of the same job without them.
+  const std::string base =
+      R"({"op":"submit","kernel":"const2d","nx":37,"ny":29,"t":10,)"
+      R"("seed":42,"scheme":"cats2")";
+  Request plain, old;
+  std::string err;
+  ASSERT_TRUE(parse_request(base + "}", &plain, &err)) << err;
+  ASSERT_TRUE(
+      parse_request(base + R"(,"nt_stores":true,"unroll_t":2})", &old, &err))
+      << err;
+  EXPECT_EQ(encode_request(old), encode_request(plain));
+  ExecEnv env;
+  env.threads = 2;
+  const JobResult a = execute_job(plain.job, env);
+  const JobResult b = execute_job(old.job, env);
+  ASSERT_EQ(a.status, JobStatus::Done) << a.error;
+  ASSERT_EQ(b.status, JobStatus::Done) << b.error;
+  EXPECT_EQ(b.checksum, a.checksum);
 }
 
 TEST(ServeProtocol, ResultRoundTrip) {

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "bench_harness/machine.hpp"
@@ -103,6 +104,16 @@ TEST(TuneDb, RoundTripSaveLoad) {
   db.put(key, e);
   db.put(sample_key("machine-B"), sample_entry());  // second row survives too
   ASSERT_TRUE(db.save(path));
+  {
+    // Fields of deleted knobs are no longer written.
+    std::ifstream in(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("\"mwd_group\""), std::string::npos) << text;
+    for (const char* gone : {"nt_stores", "unroll_t", "prefetch_dist"}) {
+      EXPECT_EQ(text.find(gone), std::string::npos) << gone << "\n" << text;
+    }
+  }
 
   TuneDb loaded;
   ASSERT_TRUE(loaded.load(path));
@@ -160,9 +171,10 @@ TEST(TuneDb, TruncatedFileIsIgnoredGracefully) {
 TEST(TuneDb, IncompleteRowsAreSkippedNotFatal) {
   const std::string path = temp_path("partial.json");
   // The last row is in the format earlier versions saved, including the
-  // field of the deleted y-split teams, which this version no longer reads;
-  // it keys on this machine so apply_tuning can show that its other fields
-  // still apply. The two rows
+  // fields of deleted knobs (y-split teams, temporal vectorisation, NT
+  // stores, temporal fusion, prefetch hints), which this version no longer
+  // reads; it keys on this machine so apply_tuning can show that its other
+  // fields still apply. The two rows
   // before it carry integers that would not survive a cast (a fraction, a
   // value beyond int) and are dropped whole.
   const DomainShape d{1 << 18, 1 << 6, 1 << 6, 3};
@@ -200,10 +212,7 @@ TEST(TuneDb, IncompleteRowsAreSkippedNotFatal) {
   EXPECT_EQ(tuned.bz_override, 24);
   EXPECT_EQ(tuned.threads, 2);
   EXPECT_EQ(tuned.affinity, AffinityPolicy::Compact);
-  EXPECT_TRUE(tuned.nt_stores);
-  EXPECT_EQ(tuned.unroll_t, 2);
-  EXPECT_EQ(tuned.mwd_group, 1);
-  EXPECT_EQ(tuned.prefetch_dist, 8);
+  EXPECT_EQ(tuned.mwd_group, 1);  // 0 in the row: keep the caller's
   std::remove(path.c_str());
   invalidate_cache();
 }

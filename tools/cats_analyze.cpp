@@ -8,9 +8,10 @@
 //                  report safe weakenings (over-strong annotations) vs.
 //                  counterexamples (order proven minimal)
 //   --footprint    symbolic kernel access analysis: record every load/store
-//                  of each kernel family under each scheme x option config
-//                  and certify halo containment, alignment, NT eligibility,
-//                  and buffer-parity non-aliasing against the emitted plans
+//                  of each kernel family under each scheme, walked through
+//                  the production slab walk, and certify halo containment,
+//                  alignment, write versioning, completeness and
+//                  buffer-parity non-aliasing against the emitted plans
 //   --sweep        all of the above (the CI entry point)
 //
 // Exit codes mirror cats_plan_check: 0 = verified, 1 = counterexample /
@@ -118,8 +119,8 @@ int run_footprint(bool verbose) {
       continue;
     }
     if (verbose)
-      std::printf("  ok    %s (%lld loads, %lld stores, %lld NT)\n",
-                  rep.config.c_str(), rep.loads, rep.stores, rep.nt_stores);
+      std::printf("  ok    %s (%lld loads, %lld stores)\n",
+                  rep.config.c_str(), rep.loads, rep.stores);
   }
   std::printf(
       "footprint: %zu configs, %lld loads + %lld stores certified, "

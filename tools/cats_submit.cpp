@@ -25,7 +25,7 @@ const char* kUsage =
     "  submit   --kernel const2d|const2d_f32|const3d\n"
     "           --nx N --ny N [--nz N] -T N\n"
     "           [--tenant NAME] [--seed N] [--threads N] [--scheme S]\n"
-    "           [--split auto|never|force] [--nt-stores] [--selftest]\n"
+    "           [--split auto|never|force] [--selftest]\n"
     "  stats    print the server's scheduler statistics (JSON)\n"
     "  ping     check liveness\n"
     "  shutdown [--cancel]  drain (or cancel+drain) the server\n";
@@ -87,8 +87,6 @@ int main(int argc, char** argv) {
       } else {
         die("unknown split policy");
       }
-    } else if (a == "--nt-stores") {
-      job.nt_stores = true;
     } else if (a == "--selftest") {
       selftest = true;
     } else if (a == "--cancel") {
