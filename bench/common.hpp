@@ -154,11 +154,11 @@ double model_dram_bytes(const K& k, int T, const RunOptions& opt,
 
 /// Median wall seconds of `reps` runs; make_kernel() -> fresh initialized
 /// kernel each rep (the run mutates it). With --json enabled, the timed
-/// runs' synchronization wait time (RunStats::wait_ns over all reps) is
-/// accumulated into the report's scalars, along with the analytic DRAM
-/// traffic ("model_dram_bytes", one rep's worth per timed configuration)
-/// and the matching update count ("model_updates" = N*T); their ratio is
-/// the modeled effective DRAM bytes per point update.
+/// runs' synchronization wait time (RunStats::wait_ns and barrier_wait_ns
+/// over all reps) is accumulated into the report's scalars, along with the
+/// analytic DRAM traffic ("model_dram_bytes", one rep's worth per timed
+/// configuration) and the matching update count ("model_updates" = N*T);
+/// their ratio is the modeled effective DRAM bytes per point update.
 template <class MakeKernel>
 double time_scheme(MakeKernel&& make_kernel, int T, const RunOptions& opt,
                    int reps, SchemeChoice* choice_out = nullptr) {
@@ -180,13 +180,19 @@ double time_scheme(MakeKernel&& make_kernel, int T, const RunOptions& opt,
     json_log().bump_scalar("wait_ns", static_cast<double>(wait_stats.wait_ns));
     json_log().bump_scalar("wait_events",
                            static_cast<double>(wait_stats.wait_events));
-    // Intra-tile share of the wait aggregates above (TeamBarrier crossings,
-    // core/stats.hpp): member imbalance inside MWD groups, as opposed to
-    // tile-to-tile edge waits.
+    // Intra-tile share of the wait aggregates above (MWD group-barrier
+    // crossings, core/stats.hpp): member imbalance inside MWD groups, as
+    // opposed to tile-to-tile edge waits.
     json_log().bump_scalar("team_wait_ns",
                            static_cast<double>(wait_stats.team_wait_ns));
     json_log().bump_scalar("team_wait_events",
                            static_cast<double>(wait_stats.team_wait_events));
+    // Phase-barrier idle time, outside the wait aggregates above.
+    json_log().bump_scalar("barrier_wait_ns",
+                           static_cast<double>(wait_stats.barrier_wait_ns));
+    json_log().bump_scalar(
+        "barrier_wait_events",
+        static_cast<double>(wait_stats.barrier_wait_events));
   }
   if (json_log().enabled()) {
     const auto k = make_kernel();

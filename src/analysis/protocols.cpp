@@ -7,7 +7,6 @@
 #include "threads/barrier.hpp"
 #include "threads/pin_latch.hpp"
 #include "threads/progress.hpp"
-#include "threads/team_barrier.hpp"
 
 namespace cats {
 namespace analysis {
@@ -25,22 +24,9 @@ struct DynSb {
   static std::memory_order sense_publish() { return g_orders[kSbSensePublish]; }
   static std::memory_order sense_wait() { return g_orders[kSbSenseWait]; }
 };
-struct DynTb {
-  static std::memory_order sense_peek() { return g_orders[kTbSensePeek]; }
-  static std::memory_order arrive() { return g_orders[kTbArrive]; }
-  static std::memory_order count_reset() { return g_orders[kTbCountReset]; }
-  static std::memory_order sense_publish() { return g_orders[kTbSensePublish]; }
-  static std::memory_order sense_wait() { return g_orders[kTbSenseWait]; }
-};
 struct DynPc {
-  static std::memory_order reset() { return g_orders[kPcReset]; }
   static std::memory_order publish() { return g_orders[kPcPublish]; }
-  static std::memory_order load() { return g_orders[kPcLoad]; }
   static std::memory_order wait() { return g_orders[kPcWait]; }
-};
-struct DynDf {
-  static std::memory_order set() { return g_orders[kDfSet]; }
-  static std::memory_order test() { return g_orders[kDfTest]; }
 };
 struct DynPl {
   static std::memory_order note() { return g_orders[kPlNote]; }
@@ -48,36 +34,28 @@ struct DynPl {
 };
 
 using SimSpinBarrier = BasicSpinBarrier<SimShim, DynSb>;
-using SimTeamBarrier = BasicTeamBarrier<SimShim, DynTb>;
 using SimProgressCell = BasicProgressCell<SimShim, DynPc>;
-using SimDoneFlag = BasicDoneFlag<SimShim, DynDf>;
 using SimPinLatch = BasicPinLatch<SimShim, DynPl>;
 
 // ---------------------------------------------------------------------------
 // Scenarios. Data handoffs use one fresh SimData per crossing so checks
 // after barrier k never race the writes for barrier k+1.
 
-Scenario barrier_scenario(const char* prim, int n, int crossings) {
+Scenario barrier_scenario(int n, int crossings) {
   Scenario sc;
-  sc.name = std::string(prim) + "/n" + std::to_string(n) + "x" +
+  sc.name = "SpinBarrier/n" + std::to_string(n) + "x" +
             std::to_string(crossings);
   sc.nthreads = n;
-  const bool team = std::string(prim) == "TeamBarrier";
-  sc.make = [n, crossings, team]() {
+  sc.make = [n, crossings]() {
     struct World {
-      explicit World(int nn, bool tm) {
+      explicit World(int nn) {
         sim_name_locs({"count_", "sense_"});
-        if (tm) {
-          tb = std::make_unique<SimTeamBarrier>(nn);
-        } else {
-          sb = std::make_unique<SimSpinBarrier>(nn);
-        }
+        bar = std::make_unique<SimSpinBarrier>(nn);
       }
-      std::unique_ptr<SimSpinBarrier> sb;
-      std::unique_ptr<SimTeamBarrier> tb;
+      std::unique_ptr<SimSpinBarrier> bar;
       std::vector<std::unique_ptr<SimData>> d;
     };
-    auto w = std::make_shared<World>(n, team);
+    auto w = std::make_shared<World>(n);
     for (int c = 0; c < crossings; ++c) {
       for (int i = 0; i < n; ++i) {
         const std::string name =
@@ -87,14 +65,10 @@ Scenario barrier_scenario(const char* prim, int n, int crossings) {
     }
     std::vector<std::function<void()>> bodies;
     for (int i = 0; i < n; ++i) {
-      bodies.push_back([w, i, n, crossings, team] {
+      bodies.push_back([w, i, n, crossings] {
         for (int c = 0; c < crossings; ++c) {
           w->d[(std::size_t)(c * n + i)]->write(100 * c + i);
-          if (team) {
-            w->tb->arrive_and_wait();
-          } else {
-            w->sb->arrive_and_wait();
-          }
+          w->bar->arrive_and_wait();
           for (int j = 0; j < n; ++j) {
             sim_check(w->d[(std::size_t)(c * n + j)]->read() == 100 * c + j,
                       "post-barrier read sees every participant's pre-barrier "
@@ -108,32 +82,8 @@ Scenario barrier_scenario(const char* prim, int n, int crossings) {
   return sc;
 }
 
-Scenario team_barrier_degenerate() {
-  Scenario sc;
-  sc.name = "TeamBarrier/n1-degenerate";
-  sc.nthreads = 1;
-  sc.make = []() {
-    struct World {
-      World() {
-        sim_name_locs({"count_", "sense_"});
-        tb = std::make_unique<SimTeamBarrier>(1);
-      }
-      std::unique_ptr<SimTeamBarrier> tb;
-    };
-    auto w = std::make_shared<World>();
-    std::vector<std::function<void()>> bodies;
-    bodies.push_back([w] {
-      w->tb->arrive_and_wait();
-      w->tb->arrive_and_wait();
-      sim_check(true, "degenerate team barrier returns");
-    });
-    return bodies;
-  };
-  return sc;
-}
-
-/// SyncEdge{ProgressGE}: producer publishes wavefront indices, the consumer
-/// wait_ge's and reads the tile data published before each index.
+/// A plan SyncEdge: the producer owner publishes rising tile indices, the
+/// consumer wait_ge's and reads the tile data published before each index.
 Scenario progress_wait_scenario() {
   Scenario sc;
   sc.name = "ProgressCell/publish-wait_ge";
@@ -166,116 +116,11 @@ Scenario progress_wait_scenario() {
   return sc;
 }
 
-/// The executor's lead-worker edge poll: consumer spins on load() itself.
-Scenario progress_poll_scenario() {
-  Scenario sc;
-  sc.name = "ProgressCell/load-poll";
-  sc.nthreads = 2;
-  sc.make = []() {
-    struct World {
-      World() : d("tile") {
-        sim_name_locs({"value"});
-        cell = std::make_unique<SimProgressCell>();
-      }
-      std::unique_ptr<SimProgressCell> cell;
-      SimData d;
-    };
-    auto w = std::make_shared<World>();
-    std::vector<std::function<void()>> bodies;
-    bodies.push_back([w] {
-      w->d.write(7);
-      w->cell->publish(3);
-    });
-    bodies.push_back([w] {
-      while (w->cell->load() < 3) sim_park();
-      sim_check(w->d.read() == 7, "load() poll orders the published data");
-    });
-    return bodies;
-  };
-  return sc;
-}
-
-/// The executor's BarrierResetBarrier: relaxed reset is safe *because* it
-/// sits between two barrier crossings — and the interpreter's write-read
-/// coherence (hidden stores) is what forbids post-reset waits from being
-/// satisfied by pre-reset values.
-Scenario progress_reset_scenario() {
-  Scenario sc;
-  sc.name = "ProgressCell/barrier-reset-barrier";
-  sc.nthreads = 2;
-  sc.make = []() {
-    struct World {
-      World() : dA("phase1"), dB("phase2") {
-        sim_name_locs({"value"});
-        cell = std::make_unique<SimProgressCell>();
-        sim_name_locs({"count_", "sense_"});
-        bar = std::make_unique<SimSpinBarrier>(2);
-      }
-      std::unique_ptr<SimProgressCell> cell;
-      std::unique_ptr<SimSpinBarrier> bar;
-      SimData dA, dB;
-    };
-    auto w = std::make_shared<World>();
-    std::vector<std::function<void()>> bodies;
-    bodies.push_back([w] {
-      w->dA.write(1);
-      w->cell->publish(7);
-      w->bar->arrive_and_wait();
-      w->cell->reset();
-      w->bar->arrive_and_wait();
-      w->dB.write(2);
-      w->cell->publish(1);
-    });
-    bodies.push_back([w] {
-      w->cell->wait_ge(7);
-      sim_check(w->dA.read() == 1, "phase-1 wait orders phase-1 data");
-      w->bar->arrive_and_wait();
-      w->bar->arrive_and_wait();
-      w->cell->wait_ge(1);
-      sim_check(w->dB.read() == 2,
-                "post-reset wait must not be satisfied by the pre-reset value");
-    });
-    return bodies;
-  };
-  return sc;
-}
-
-Scenario done_flag_scenario(bool poll) {
-  Scenario sc;
-  sc.name = poll ? "DoneFlag/test-poll" : "DoneFlag/set-wait";
-  sc.nthreads = 2;
-  sc.make = [poll]() {
-    struct World {
-      World() : d("tile") {
-        sim_name_locs({"done"});
-        flag = std::make_unique<SimDoneFlag>();
-      }
-      std::unique_ptr<SimDoneFlag> flag;
-      SimData d;
-    };
-    auto w = std::make_shared<World>();
-    std::vector<std::function<void()>> bodies;
-    bodies.push_back([w] {
-      w->d.write(9);
-      w->flag->set();
-    });
-    bodies.push_back([w, poll] {
-      if (poll) {
-        while (!w->flag->test()) sim_park();
-      } else {
-        w->flag->wait();
-      }
-      sim_check(w->d.read() == 9, "done flag orders the tile's writes");
-    });
-    return bodies;
-  };
-  return sc;
-}
-
 /// The thread pool's pin handshake: caller + workers note() after pinning;
 /// the caller reads count() only after a join edge from every worker
-/// (modeled as DoneFlags at production orders — the same release/acquire
-/// shape as thread join). Relaxed note/read must still force count()==3.
+/// (modeled as ProgressCells at production orders — the same
+/// release/acquire shape as thread join). Relaxed note/read must still
+/// force count()==3.
 Scenario pin_handshake_scenario() {
   Scenario sc;
   sc.name = "PinLatch/pin-handshake";
@@ -286,20 +131,20 @@ Scenario pin_handshake_scenario() {
         sim_name_locs({"pinned_"});
         latch = std::make_unique<SimPinLatch>();
         sim_name_locs({"join1"});
-        j1 = std::make_unique<BasicDoneFlag<SimShim>>();
+        j1 = std::make_unique<BasicProgressCell<SimShim>>();
         sim_name_locs({"join2"});
-        j2 = std::make_unique<BasicDoneFlag<SimShim>>();
+        j2 = std::make_unique<BasicProgressCell<SimShim>>();
       }
       std::unique_ptr<SimPinLatch> latch;
-      std::unique_ptr<BasicDoneFlag<SimShim>> j1, j2;
+      std::unique_ptr<BasicProgressCell<SimShim>> j1, j2;
       SimData dw1, dw2;
     };
     auto w = std::make_shared<World>();
     std::vector<std::function<void()>> bodies;
     bodies.push_back([w] {
       w->latch->note();
-      w->j1->wait();
-      w->j2->wait();
+      w->j1->wait_ge(1);
+      w->j2->wait_ge(1);
       sim_check(w->latch->count() == 3,
                 "post-join count() sees every pinned participant");
       sim_check(w->dw1.read() == 1, "join orders worker 1's writes");
@@ -308,12 +153,12 @@ Scenario pin_handshake_scenario() {
     bodies.push_back([w] {
       w->dw1.write(1);
       w->latch->note();
-      w->j1->set();
+      w->j1->publish(1);
     });
     bodies.push_back([w] {
       w->dw2.write(2);
       w->latch->note();
-      w->j2->set();
+      w->j2->publish(1);
     });
     return bodies;
   };
@@ -336,24 +181,9 @@ const std::vector<SiteInfo>& site_table() {
        SpinBarrierProdOrders::sense_publish(), 's'},
       {kSbSenseWait, "SpinBarrier", "sense_wait",
        SpinBarrierProdOrders::sense_wait(), 'l'},
-      {kTbSensePeek, "TeamBarrier", "sense_peek",
-       TeamBarrierProdOrders::sense_peek(), 'l'},
-      {kTbArrive, "TeamBarrier", "arrive", TeamBarrierProdOrders::arrive(),
-       'r'},
-      {kTbCountReset, "TeamBarrier", "count_reset",
-       TeamBarrierProdOrders::count_reset(), 's'},
-      {kTbSensePublish, "TeamBarrier", "sense_publish",
-       TeamBarrierProdOrders::sense_publish(), 's'},
-      {kTbSenseWait, "TeamBarrier", "sense_wait",
-       TeamBarrierProdOrders::sense_wait(), 'l'},
-      {kPcReset, "ProgressCell", "reset", ProgressCellProdOrders::reset(),
-       's'},
       {kPcPublish, "ProgressCell", "publish",
        ProgressCellProdOrders::publish(), 's'},
-      {kPcLoad, "ProgressCell", "load", ProgressCellProdOrders::load(), 'l'},
       {kPcWait, "ProgressCell", "wait", ProgressCellProdOrders::wait(), 'l'},
-      {kDfSet, "DoneFlag", "set", DoneFlagProdOrders::set(), 's'},
-      {kDfTest, "DoneFlag", "test", DoneFlagProdOrders::test(), 'l'},
       {kPlNote, "PinLatch", "note", PinLatchProdOrders::note(), 'r'},
       {kPlRead, "PinLatch", "read", PinLatchProdOrders::read(), 'l'},
   };
@@ -388,18 +218,10 @@ std::vector<Scenario> scenarios_for_primitive(const char* prim,
   const std::string p = prim;
   std::vector<Scenario> out;
   if (p == "SpinBarrier") {
-    out.push_back(barrier_scenario("SpinBarrier", 2, 2));
-    if (thorough) out.push_back(barrier_scenario("SpinBarrier", 3, 1));
-  } else if (p == "TeamBarrier") {
-    out.push_back(team_barrier_degenerate());
-    out.push_back(barrier_scenario("TeamBarrier", 2, 2));
+    out.push_back(barrier_scenario(2, 2));
+    if (thorough) out.push_back(barrier_scenario(3, 1));
   } else if (p == "ProgressCell") {
     out.push_back(progress_wait_scenario());
-    out.push_back(progress_poll_scenario());
-    out.push_back(progress_reset_scenario());
-  } else if (p == "DoneFlag") {
-    out.push_back(done_flag_scenario(false));
-    out.push_back(done_flag_scenario(true));
   } else if (p == "PinLatch") {
     out.push_back(pin_handshake_scenario());
   } else {
@@ -411,8 +233,7 @@ std::vector<Scenario> scenarios_for_primitive(const char* prim,
 std::vector<PrimCheck> check_all_primitives(const ExploreLimits& lim) {
   reset_site_orders();
   std::vector<PrimCheck> out;
-  for (const char* prim : {"SpinBarrier", "TeamBarrier", "ProgressCell",
-                           "DoneFlag", "PinLatch"}) {
+  for (const char* prim : {"SpinBarrier", "ProgressCell", "PinLatch"}) {
     for (Scenario& sc : scenarios_for_primitive(prim, /*thorough=*/true)) {
       PrimCheck pc;
       pc.scenario = sc.name;

@@ -1,11 +1,10 @@
 #pragma once
-// Sync-protocol checks: the five production primitives — SpinBarrier,
-// TeamBarrier, ProgressCell, DoneFlag, and the thread pool's pin-handshake
-// latch — re-instantiated over SimShim and explored exhaustively
-// (analysis/explore.hpp). Each scenario encodes the happens-before contract
-// the plan verifier's SyncEdge semantics assume (publish → observe, barrier
-// all-to-all, reset under barrier-reset-barrier) as non-atomic data
-// handoffs, so a missing edge surfaces as a data race with a full
+// Sync-protocol checks: the three production primitives — SpinBarrier,
+// ProgressCell and the thread pool's pin-handshake latch — re-instantiated
+// over SimShim and explored exhaustively (analysis/explore.hpp). Each
+// scenario encodes the happens-before contract the plan verifier's SyncEdge
+// semantics assume (publish → observe, barrier all-to-all) as non-atomic
+// data handoffs, so a missing edge surfaces as a data race with a full
 // interleaving trace.
 //
 // Minimality: every annotated order site (site_table) is re-run one
@@ -30,17 +29,8 @@ enum SiteId : int {
   kSbCountReset,
   kSbSensePublish,
   kSbSenseWait,
-  kTbSensePeek,
-  kTbArrive,
-  kTbCountReset,
-  kTbSensePublish,
-  kTbSenseWait,
-  kPcReset,
   kPcPublish,
-  kPcLoad,
   kPcWait,
-  kDfSet,
-  kDfTest,
   kPlNote,
   kPlRead,
   kNumSites

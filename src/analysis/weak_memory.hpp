@@ -19,8 +19,7 @@
 //  * load(mo): the explorer enumerates every readable store — at/after the
 //    thread's per-location coherence floor (the newest store it has read or
 //    written there) and not *hidden* (no modification-order-later store
-//    that happens-before the load; this is write-read coherence, and it is
-//    what makes e.g. the executor's barrier-reset-barrier phase sound). If
+//    that happens-before the load; this is write-read coherence). If
 //    mo includes acquire and the chosen store carries a msg, the reader
 //    joins it (synchronizes-with the heads of every release sequence
 //    containing that store).

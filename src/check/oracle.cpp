@@ -1,5 +1,6 @@
 #include "check/oracle.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -88,7 +89,7 @@ void DepOracle::add_violation(const Violation& v) {
   if (violations_.size() < kMaxViolations) violations_.push_back(v);
 }
 
-void DepOracle::log_edge(SyncEdge::Kind kind, int tid, const void* cell,
+void DepOracle::log_edge(SyncEvent::Kind kind, int tid, const void* cell,
                          std::int64_t value) {
   // Caller holds mu_.
   if (edges_.size() < kMaxEdges) edges_.push_back({kind, tid, cell, value});
@@ -231,9 +232,15 @@ void DepOracle::on_release(const void* cell, std::int64_t value) {
   const int tid = bound_tid();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    join(cell_clocks_[cell], vc_[static_cast<std::size_t>(tid)]);
+    std::vector<Release>& rel = cell_releases_[cell];
+    CATS_CHECK(rel.empty() || rel.back().value <= value,
+               "oracle: cell %p published %lld after %lld; published values "
+               "must never fall",
+               cell, static_cast<long long>(value),
+               static_cast<long long>(rel.back().value));
+    rel.push_back({value, vc_[static_cast<std::size_t>(tid)]});
     ++releases_;
-    log_edge(SyncEdge::Kind::Release, tid, cell, value);
+    log_edge(SyncEvent::Kind::Release, tid, cell, value);
   }
   ++vc_[static_cast<std::size_t>(tid)][static_cast<std::size_t>(tid)];
 }
@@ -241,21 +248,26 @@ void DepOracle::on_release(const void* cell, std::int64_t value) {
 void DepOracle::on_acquire(const void* cell, std::int64_t value) {
   const int tid = bound_tid();
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cell_clocks_.find(cell);
-  if (it != cell_clocks_.end()) {
-    join(vc_[static_cast<std::size_t>(tid)], it->second);
+  auto it = cell_releases_.find(cell);
+  if (it != cell_releases_.end()) {
+    // The first release reaching the bound is the one the wait relies on.
+    const std::vector<Release>& rel = it->second;
+    const auto r = std::lower_bound(
+        rel.begin(), rel.end(), value,
+        [](const Release& a, std::int64_t v) { return a.value < v; });
+    if (r != rel.end()) join(vc_[static_cast<std::size_t>(tid)], r->clock);
   }
   ++acquires_;
-  log_edge(SyncEdge::Kind::Acquire, tid, cell, value);
+  log_edge(SyncEvent::Kind::Acquire, tid, cell, value);
 }
 
 void DepOracle::on_barrier_arrive(const void* barrier) {
   const int tid = bound_tid();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    join(cell_clocks_[barrier], vc_[static_cast<std::size_t>(tid)]);
+    join(barrier_clocks_[barrier], vc_[static_cast<std::size_t>(tid)]);
     ++barriers_;
-    log_edge(SyncEdge::Kind::BarrierArrive, tid, barrier, 0);
+    log_edge(SyncEvent::Kind::BarrierArrive, tid, barrier, 0);
   }
   ++vc_[static_cast<std::size_t>(tid)][static_cast<std::size_t>(tid)];
 }
@@ -263,11 +275,11 @@ void DepOracle::on_barrier_arrive(const void* barrier) {
 void DepOracle::on_barrier_leave(const void* barrier) {
   const int tid = bound_tid();
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cell_clocks_.find(barrier);
-  if (it != cell_clocks_.end()) {
+  auto it = barrier_clocks_.find(barrier);
+  if (it != barrier_clocks_.end()) {
     join(vc_[static_cast<std::size_t>(tid)], it->second);
   }
-  log_edge(SyncEdge::Kind::BarrierLeave, tid, barrier, 0);
+  log_edge(SyncEvent::Kind::BarrierLeave, tid, barrier, 0);
 }
 
 std::int64_t DepOracle::violation_count() const {
@@ -295,7 +307,7 @@ std::int64_t DepOracle::barrier_count() const {
   return barriers_;
 }
 
-std::vector<SyncEdge> DepOracle::edges() const {
+std::vector<SyncEvent> DepOracle::edges() const {
   std::lock_guard<std::mutex> lock(mu_);
   return edges_;
 }

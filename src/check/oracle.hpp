@@ -5,15 +5,15 @@
 // wavefronts, split parallelogram tiles, diamond towers); every one of those
 // schedules is correct iff each point update at timestep t happens-after all
 // of its slope-s box neighbors at t-1 — including across the tile-to-tile
-// ProgressCell/DoneFlag hand-offs that replaced barriers. The oracle checks
+// ProgressCell hand-offs that replaced barriers. The oracle checks
 // that rule directly, per point, against the synchronization the schedule
 // *actually performed*:
 //
 //  * Shadow clock grid: per point, TWO packed slots indexed by timestep
 //    parity (mirroring the double buffer) record (last timestep written,
 //    writing thread, writer epoch) in one 64-bit atomic.
-//  * Happens-before edges: every ProgressCell::publish/wait_ge, DoneFlag
-//    set/wait and SpinBarrier crossing is reported through SyncObserver
+//  * Happens-before edges: every ProgressCell::publish/wait_ge and
+//    SpinBarrier crossing is reported through SyncObserver
 //    (threads/sync_observer.hpp) and folded into per-thread vector clocks —
 //    the FastTrack representation: a write is the epoch (tid, c); a read by
 //    thread r is ordered iff VC_r[tid] >= c.
@@ -30,11 +30,14 @@
 // race. Validation mode only: ~16 shadow bytes per point and a
 // (2s+1)^d-load check per update.
 //
-// Known (documented) approximation: a wait_ge joins the cell's accumulated
-// publisher clock, so publishes that land between the satisfying publish and
-// the join may be credited early. This can only *suppress* reports for
-// schedules that already synchronize through the same cell, never create
-// false positives; schedules that skip the wait entirely are always caught.
+// Bound-exact acquires: a cell keeps its releases as (value, clock) pairs in
+// publish order, and a wait_ge(bound) joins the clock of the first release
+// whose value is >= bound — the release the schedule guarantees, not
+// whatever the producer happened to publish by the time the waiter looked.
+// A plan's consumer waits on its producer owner's shared cell, so crediting
+// the cell's latest clock would hide a deleted edge whenever the producer
+// ran ahead. Published values must never fall (checked). Barriers stay
+// cumulative: a crossing joins every participant's arrival.
 
 #include <atomic>
 #include <cstdint>
@@ -77,7 +80,7 @@ struct Violation {
 };
 
 /// One recorded happens-before event (bounded log, for diagnostics/tests).
-struct SyncEdge {
+struct SyncEvent {
   enum class Kind : std::uint8_t { Release, Acquire, BarrierArrive, BarrierLeave };
   Kind kind{};
   int tid = 0;
@@ -119,7 +122,7 @@ class DepOracle final : public SyncObserver {
   std::int64_t acquire_count() const;
   std::int64_t barrier_count() const;
   /// Bounded happens-before event log (first kMaxEdges events).
-  std::vector<SyncEdge> edges() const;
+  std::vector<SyncEvent> edges() const;
 
   /// Final sweep: every interior point must have reached timestep T exactly.
   /// Call once after the run; adds an Incomplete violation per point behind.
@@ -154,7 +157,7 @@ class DepOracle final : public SyncObserver {
   }
 
   void add_violation(const Violation& v);
-  void log_edge(SyncEdge::Kind kind, int tid, const void* cell,
+  void log_edge(SyncEvent::Kind kind, int tid, const void* cell,
                 std::int64_t value);
   int bound_tid() const;
 
@@ -163,14 +166,23 @@ class DepOracle final : public SyncObserver {
 
   /// vc_[tid] is only ever touched by thread tid (reads in on_row, joins in
   /// on_acquire, increments in on_release) — no locking needed for access,
-  /// the mutex below only guards the shared cell-clock map and the logs.
+  /// the mutex below only guards the shared release/barrier maps and logs.
   std::vector<std::vector<std::uint32_t>> vc_;
 
+  /// One publish to a cell: its value and the releaser's clock at the time.
+  struct Release {
+    std::int64_t value;
+    std::vector<std::uint32_t> clock;
+  };
+
   mutable std::mutex mu_;
-  std::unordered_map<const void*, std::vector<std::uint32_t>> cell_clocks_;
+  /// Per cell, its releases in publish order (values non-decreasing).
+  std::unordered_map<const void*, std::vector<Release>> cell_releases_;
+  /// Per barrier, the join of every arrival so far.
+  std::unordered_map<const void*, std::vector<std::uint32_t>> barrier_clocks_;
   std::vector<Violation> violations_;
   std::int64_t total_violations_ = 0;
-  std::vector<SyncEdge> edges_;
+  std::vector<SyncEvent> edges_;
   std::int64_t releases_ = 0, acquires_ = 0, barriers_ = 0;
   std::atomic<std::int64_t> points_checked_{0};
 };

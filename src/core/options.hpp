@@ -79,8 +79,8 @@ struct RunOptions {
   AffinityPolicy affinity = AffinityPolicy::None;
 
   /// Dependence-oracle validation (src/check): attach an oracle and every
-  /// scheme reports each computed row plus every ProgressCell/DoneFlag/
-  /// barrier crossing to it, so the full slope-s dependence rule — including
+  /// scheme reports each computed row plus every ProgressCell and barrier
+  /// crossing to it, so the full slope-s dependence rule — including
   /// cross-thread ordering through *recorded* happens-before edges — is
   /// checked per point. Inspect the oracle afterwards for violations.
   check::DepOracle* oracle = nullptr;

@@ -65,7 +65,8 @@ void run_diagonal_wavefront_2d(K& k, int T, int tz_param) {
 /// CATS2 (2D) with dynamic diamond assignment: threads claim the next ready
 /// diamond in the current row from a shared atomic cursor instead of the
 /// static round-robin map. Synchronization cost: one fetch_add per diamond
-/// plus the same two done-flag waits.
+/// plus the same two diamond waits. With no fixed owner to publish through,
+/// each diamond gets its own ProgressCell, published once with 1.
 template <RowKernel2D K>
 void run_cats2_dynamic(K& k, int T, const RunOptions& opt, std::int64_t bz) {
   const int H = k.height();
@@ -79,16 +80,16 @@ void run_cats2_dynamic(K& k, int T, const RunOptions& opt, std::int64_t bz) {
   const std::int64_t nj = jr.hi - jr.lo + 1;
   const std::int64_t n_rows = rr.hi - rr.lo + 1;
 
-  std::vector<DoneFlag> flags(static_cast<std::size_t>(ni * nj));
-  auto flag = [&](std::int64_t i, std::int64_t j) -> DoneFlag& {
-    return flags[static_cast<std::size_t>((i - ir.lo) * nj + (j - jr.lo))];
+  std::vector<ProgressCell> done(static_cast<std::size_t>(ni * nj));
+  auto cell = [&](std::int64_t i, std::int64_t j) -> ProgressCell& {
+    return done[static_cast<std::size_t>((i - ir.lo) * nj + (j - jr.lo))];
   };
   auto in_range = [&](std::int64_t i, std::int64_t j) {
     return i >= ir.lo && i <= ir.hi && j >= jr.lo && j <= jr.hi;
   };
   // One claim cursor per row; a thread may only move to row r+1 after row r
-  // is fully claimed (it can still have to wait on done-flags, as in the
-  // static scheme).
+  // is fully claimed (it can still have to wait on its diamonds' cells, as
+  // in the static scheme).
   std::vector<std::atomic<std::int64_t>> cursor(
       static_cast<std::size_t>(n_rows));
   for (auto& c : cursor) c.store(0);
@@ -117,17 +118,21 @@ void run_cats2_dynamic(K& k, int T, const RunOptions& opt, std::int64_t bz) {
       auto& cur = cursor[static_cast<std::size_t>(r - rr.lo)];
       for (;;) {
         // order: relaxed — work-stealing ticket; only atomicity matters, the
-        // diamond's data ordering comes from its done-flag edges.
+        // diamond's data ordering comes from its cells' publish/wait edges.
         const std::int64_t slot = cur.fetch_add(1, std::memory_order_relaxed);
         const std::int64_t i = ilo + slot;
         if (i > ihi) break;
         const std::int64_t j = i - r;
         if (dt.nonempty(i, j)) {
-          if (in_range(i - 1, j) && dt.nonempty(i - 1, j)) flag(i - 1, j).wait();
-          if (in_range(i, j + 1) && dt.nonempty(i, j + 1)) flag(i, j + 1).wait();
+          if (in_range(i - 1, j) && dt.nonempty(i - 1, j)) {
+            cell(i - 1, j).wait_ge(1);
+          }
+          if (in_range(i, j + 1) && dt.nonempty(i, j + 1)) {
+            cell(i, j + 1).wait_ge(1);
+          }
           process_tube(i, j);
         }
-        flag(i, j).set();
+        cell(i, j).publish(1);
       }
     }
   });

@@ -80,7 +80,7 @@ TilePlan emit_cats1(int dims, std::int64_t nx, std::int64_t ny,
       threads));
   p.threads = P;
   p.tz = tz_cap;
-  p.phase_sync = PhaseSync::BarrierResetBarrier;
+  p.phase_sync = PhaseSync::Barrier;
 
   std::int32_t next_group = 0;
   std::vector<Range> ur(static_cast<std::size_t>(P));
@@ -102,7 +102,6 @@ TilePlan emit_cats1(int dims, std::int64_t nx, std::int64_t ny,
         tile.phase = phase;
         tile.group = group;
         tile.first_in_group = u == r.lo;
-        tile.publishes_progress = true;
         tile.t0 = t0;
         tile.t1 = t0 + tz_c - 1;
         tile.u = u;
@@ -113,21 +112,19 @@ TilePlan emit_cats1(int dims, std::int64_t nx, std::int64_t ny,
       }
     }
     // Split-tiling waits: before computing wavefront u, tile tid needs its
-    // right neighbor past min(u, right's last wavefront).
+    // right neighbor past min(u, right's last wavefront) — the right
+    // neighbor's column at that wavefront is the producer tile.
     for (int tid = 0; tid + 1 < P; ++tid) {
       const Range mine = ur[static_cast<std::size_t>(tid)];
       const Range right = ur[static_cast<std::size_t>(tid + 1)];
       if (right.empty()) continue;
       for (std::int64_t u = std::max(mine.lo, right.lo); u <= mine.hi; ++u) {
         const std::int64_t bound = std::min(u, right.hi);
-        SyncEdge e;
-        e.kind = SyncEdge::Kind::ProgressGE;
-        e.value = bound;
-        e.from = base[static_cast<std::size_t>(tid + 1)] +
-                 static_cast<std::int32_t>(bound - right.lo);
-        e.to = base[static_cast<std::size_t>(tid)] +
-               static_cast<std::int32_t>(u - mine.lo);
-        p.edges.push_back(e);
+        p.edges.push_back(
+            {base[static_cast<std::size_t>(tid + 1)] +
+                 static_cast<std::int32_t>(bound - right.lo),
+             base[static_cast<std::size_t>(tid)] +
+                 static_cast<std::int32_t>(u - mine.lo)});
       }
     }
   }
@@ -139,8 +136,8 @@ namespace {
 
 /// Shared CATS2/CATS3 diamond enumeration. emit_tiles(i, j, tr, owner) emits
 /// the tile(s) of one non-empty diamond and returns {first index, last
-/// index}: incoming done-waits attach to the first, the done-flag publish to
-/// the last (they differ only for CATS3's q-tile chains).
+/// index}: incoming waits attach to the first, and consumers wait on the
+/// last (they differ only for CATS3's q-tile chains).
 template <class EmitTiles>
 void emit_diamonds(TilePlan& p, const DiamondTiling& dt, int threads,
                    EmitTiles&& emit_tiles) {
@@ -149,10 +146,10 @@ void emit_diamonds(TilePlan& p, const DiamondTiling& dt, int threads,
   const Range rr = dt.r_range();
   const std::int64_t nj = jr.hi - jr.lo + 1;
   const std::int64_t ni = ir.hi - ir.lo + 1;
-  // Index of each non-empty diamond's *publishing* tile; -1 = empty/absent.
-  std::vector<std::int32_t> done_idx(static_cast<std::size_t>(ni * nj), -1);
+  // Index of each non-empty diamond's last tile; -1 = empty/absent.
+  std::vector<std::int32_t> last_idx(static_cast<std::size_t>(ni * nj), -1);
   auto slot = [&](std::int64_t i, std::int64_t j) -> std::int32_t& {
-    return done_idx[static_cast<std::size_t>((i - ir.lo) * nj + (j - jr.lo))];
+    return last_idx[static_cast<std::size_t>((i - ir.lo) * nj + (j - jr.lo))];
   };
   auto in_range = [&](std::int64_t i, std::int64_t j) {
     return i >= ir.lo && i <= ir.hi && j >= jr.lo && j <= jr.hi;
@@ -177,7 +174,7 @@ void emit_diamonds(TilePlan& p, const DiamondTiling& dt, int threads,
         if (!in_range(pi, pj)) continue;
         const std::int32_t from = slot(pi, pj);
         if (from < 0) continue;
-        p.edges.push_back({from, first, SyncEdge::Kind::Done, 0});
+        p.edges.push_back({from, first});
       }
       slot(i, j) = last;
     }
@@ -208,7 +205,6 @@ TilePlan emit_cats2(int dims, std::int64_t nx, std::int64_t ny,
                   tile.phase = 0;
                   tile.group = next_group++;
                   tile.first_in_group = true;
-                  tile.publishes_done = true;
                   tile.t0 = static_cast<int>(tr.lo);
                   tile.t1 = static_cast<int>(tr.hi);
                   tile.di = i;
@@ -259,7 +255,6 @@ TilePlan emit_cats3(std::int64_t nx, std::int64_t ny, std::int64_t nz, int T,
                     tile.phase = 0;
                     tile.group = group;
                     tile.first_in_group = q == q_hi;
-                    tile.publishes_done = q == q_lo;
                     tile.t0 = static_cast<int>(tr.lo);
                     tile.t1 = static_cast<int>(tr.hi);
                     tile.di = i;

@@ -38,8 +38,9 @@ TilePlan emit_naive(int dims, std::int64_t nx, std::int64_t ny,
 /// wavefront tau ascends. All cross-tile dependencies (reads and the WAR
 /// hazard of the double-buffered field) point to the right neighbor in v at
 /// wavefronts <= u, so a single acquire-wait "right neighbor completed
-/// wavefront u" resolves them (split-tiling: the ProgressGE edges). Threads
-/// synchronize globally only between chunks (barrier/reset/barrier).
+/// wavefront u" resolves them (split-tiling: one edge from the neighbor's
+/// column at that wavefront). Threads synchronize globally only between
+/// chunks (one barrier).
 ///
 /// In 2D the wavefront holds TZ full x-rows; in 3D it holds TZ full (x,y)
 /// slices — which is why CATS1 in 3D falls back for large domains (Section
@@ -56,8 +57,8 @@ TilePlan emit_cats1(int dims, std::int64_t nx, std::int64_t ny,
 /// diamond tube; a skewed wavefront (u = p_traversal + s*t) sweeps through
 /// the tube, keeping only CS wavefronts in cache although the tube is far
 /// larger than the cache. Diamonds arranged side by side are independent; a
-/// diamond starts once the two diamonds below it are done (per-diamond Done
-/// edges, no global synchronization — Fig. 3).
+/// diamond starts once the two diamonds below it are done (one edge from
+/// each, no global synchronization — Fig. 3).
 ///
 /// Thread -> diamond assignment is a-priori round-robin within each diamond
 /// row, matching the paper's static diamondSet(tid). In 2D the tiling
@@ -86,12 +87,12 @@ TilePlan emit_cats2(int dims, std::int64_t nx, std::int64_t ny,
 /// wavefronts), so finishing a whole right tile before starting its left
 /// neighbor discharges both the reads and the double-buffer WAR hazard with
 /// no extra synchronization. Cross-diamond dependencies are the usual two
-/// Done edges. The wavefront that must stay cached is then
+/// diamond edges. The wavefront that must stay cached is then
 /// (diamond area) x BX instead of (diamond area) x W.
 ///
-/// Each (diamond, x-parallelogram) pair is one plan tile: the Done waits
-/// attach to a diamond's first (rightmost) q-tile, the Done publish to its
-/// last, and the q-chain rides on the owner's program order.
+/// Each (diamond, x-parallelogram) pair is one plan tile: a diamond's waits
+/// attach to its first (rightmost) q-tile, its consumers wait on its last,
+/// and the q-chain rides on the owner's program order.
 TilePlan emit_cats3(std::int64_t nx, std::int64_t ny, std::int64_t nz, int T,
                     int slope, std::int64_t bz, std::int64_t bx, int threads);
 
@@ -107,11 +108,11 @@ TilePlan emit_cats3(std::int64_t nx, std::int64_t ny, std::int64_t nz, int T,
 /// interior wavefronts — member k computes wavefront w in window w + k, its
 /// share of the timestep range fixed by an equal-area band partition
 /// (plan/mwd.hpp has the schedule and its happens-before proof;
-/// plan/execute.hpp runs it behind a per-group TeamBarrier with lead-only
-/// Done waits/publishes).
+/// plan/execute.hpp runs it behind a per-group SpinBarrier with lead-only
+/// edge waits and publishes).
 ///
 /// The plan itself is group-agnostic: emit_cats2's DiamondTube tiles and
-/// Done edges over `groups` owners, plus the group width in
+/// edges over `groups` owners, plus the group width in
 /// TilePlan::mwd_group. The member pipeline is a refinement of each tile's
 /// serial slab walk, so the static verifier's dependence/residency/deadlock
 /// certificates apply verbatim, with residency granted at the pooled budget

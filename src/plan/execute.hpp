@@ -5,10 +5,11 @@
 // by phase; before each tile, wait out its incoming sync edges (all waits of
 // one tile aggregate into at most one RunStats wait event, as the schemes
 // always counted); expand the tile through the shared for_each_slab and hand
-// each slab to the caller; publish the tile's ProgressCell value / DoneFlag;
-// run the plan's global phase synchronization after every phase. Because the
-// slab enumeration and the sync edges are the plan's, executing a plan is
-// exactly what the verifier reasons about (plan/verify.hpp).
+// each slab to the caller; publish the tile's plan index to the owner's
+// ProgressCell; cross the phase barrier after every phase of a plan that
+// asks for one. Because the slab enumeration and the sync edges are the
+// plan's, executing a plan is exactly what the verifier reasons about
+// (plan/verify.hpp).
 //
 // Every worker calls the one slab callback, which must therefore be safe to
 // invoke concurrently (the kernel walk of plan/kernel_walk.hpp holds no
@@ -17,14 +18,14 @@
 //
 // MWD groups (plan/mwd.hpp): an MWD plan's owners are thread groups of
 // plan.mwd_group members each, so the pool runs threads * mwd_group workers.
-// Members pipeline each tube's wavefronts behind a per-group TeamBarrier;
+// Members pipeline each tube's wavefronts behind a per-group SpinBarrier;
 // only the group lead (member 0) performs the tile's edge waits and
 // publishes. Every other plan has one worker per owner.
 //
-// Synchronization objects: one ProgressCell per owner (CATS1 split-tiling),
-// one DoneFlag per tile (CATS2/3/MWD diamonds), one SpinBarrier over all
-// workers for phase boundaries, one TeamBarrier per MWD group. All are
-// created only when the plan uses them.
+// Synchronization objects: one ProgressCell per owner (every SyncEdge waits
+// on its producer's owner cell; created only when the plan has edges), one
+// SpinBarrier over all workers for phase boundaries, and one SpinBarrier per
+// MWD group.
 
 #include <algorithm>
 #include <cstdint>
@@ -38,7 +39,6 @@
 #include "plan/plan.hpp"
 #include "threads/barrier.hpp"
 #include "threads/progress.hpp"
-#include "threads/team_barrier.hpp"
 #include "threads/thread_pool.hpp"
 
 namespace cats::plan_ir {
@@ -80,24 +80,21 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
   RunStats* stats = opt.stats;
 
   // Per-owner tile order: the plan's tile order restricted to one owner IS
-  // that owner's program order.
+  // that owner's program order. It ascends in tile index, so the values an
+  // owner publishes to its cell only rise.
   std::vector<std::vector<std::int32_t>> order(static_cast<std::size_t>(P));
-  bool any_done = false, any_progress = false;
   for (std::size_t i = 0; i < plan.tiles.size(); ++i) {
     order[static_cast<std::size_t>(plan.tiles[i].owner)].push_back(
         static_cast<std::int32_t>(i));
-    any_done |= plan.tiles[i].publishes_done;
-    any_progress |= plan.tiles[i].publishes_progress;
   }
   const detail::EdgeIndex in(plan);
 
   ThreadPool pool(W, opt.affinity, nullptr, opt.pin_cpus);
   SpinBarrier bar(W);
-  std::deque<TeamBarrier> team_bar;
+  std::deque<SpinBarrier> team_bar;
   for (int i = 0; m > 1 && i < P; ++i) team_bar.emplace_back(m);
-  std::vector<ProgressCell> progress(any_progress ? static_cast<std::size_t>(P)
-                                                  : 0);
-  std::vector<DoneFlag> done(any_done ? plan.tiles.size() : 0);
+  std::vector<ProgressCell> progress(
+      plan.edges.empty() ? 0 : static_cast<std::size_t>(P));
 
   pool.run([&](int wid) {
     const int tid = wid / m;     // plan-level owner (MWD group)
@@ -105,10 +102,12 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
     const check::ScopedOracleThread oracle_bind(opt.oracle, wid);
     std::int64_t local_spins = 0, local_events = 0, local_ns = 0,
                  local_tiles = 0, local_barriers = 0;
-    // TeamBarrier idle-spin accounting (RunStats team_wait_* breakdown,
-    // also folded into the wait_* aggregates at the flush below).
+    // Team-barrier idle-spin accounting (RunStats team_wait_* breakdown,
+    // also folded into the wait_* aggregates at the flush below) and
+    // phase-barrier idle time (barrier_wait_*, kept apart from wait_*).
     std::int64_t tw_spins = 0, tw_events = 0, tw_ns = 0;
-    auto team_cross = [&](TeamBarrier& tb) {
+    std::int64_t bw_events = 0, bw_ns = 0;
+    auto team_cross = [&](SpinBarrier& tb) {
       const WaitResult w = tb.arrive_and_wait();
       ++local_barriers;
       if (w.spins > 0) {
@@ -131,14 +130,10 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
                ei < in.offsets[static_cast<std::size_t>(idx) + 1]; ++ei) {
             const SyncEdge& e =
                 plan.edges[static_cast<std::size_t>(in.edge_ids[static_cast<std::size_t>(ei)])];
-            WaitResult a;
-            if (e.kind == SyncEdge::Kind::Done) {
-              a = done[static_cast<std::size_t>(e.from)].wait();
-            } else {
-              const std::int32_t from_owner =
-                  plan.tiles[static_cast<std::size_t>(e.from)].owner;
-              a = progress[static_cast<std::size_t>(from_owner)].wait_ge(e.value);
-            }
+            const std::int32_t from_owner =
+                plan.tiles[static_cast<std::size_t>(e.from)].owner;
+            const WaitResult a =
+                progress[static_cast<std::size_t>(from_owner)].wait_ge(e.from);
             w.spins += a.spins;
             w.ns += a.ns;
           }
@@ -156,37 +151,25 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
           // in plan/mwd.hpp). The walk ends with a barrier, so the members'
           // work is ordered before the lead's publish below; the first
           // window's barrier releases the lead's acquired edge waits.
-          TeamBarrier& tb = team_bar[static_cast<std::size_t>(tid)];
+          SpinBarrier& tb = team_bar[static_cast<std::size_t>(tid)];
           mwd_walk_tile(plan, tile, member, m, [&] { team_cross(tb); },
                         slab_fn);
         }
         if (member == 0) {
-          if (tile.publishes_progress) {
-            progress[static_cast<std::size_t>(tid)].publish(tile.u);
+          if (!progress.empty()) {
+            progress[static_cast<std::size_t>(tid)].publish(idx);
           }
-          if (tile.publishes_done) done[static_cast<std::size_t>(idx)].set();
           if (tile.first_in_group) ++local_tiles;
         }
         ++next;
       }
-      switch (plan.phase_sync) {
-        case PhaseSync::None:
-          break;
-        case PhaseSync::Barrier:
-          bar.arrive_and_wait();
-          ++local_barriers;
-          break;
-        case PhaseSync::BarrierResetBarrier:
-          // Everyone finishes, progress counters reset, then the next phase
-          // starts (two barriers so no thread can observe a stale counter
-          // from the previous phase).
-          bar.arrive_and_wait();
-          if (!progress.empty() && member == 0) {
-            progress[static_cast<std::size_t>(tid)].reset();
-          }
-          bar.arrive_and_wait();
-          local_barriers += 2;
-          break;
+      if (plan.phase_sync == PhaseSync::Barrier) {
+        const WaitResult w = bar.arrive_and_wait();
+        ++local_barriers;
+        if (w.spins > 0) {
+          ++bw_events;
+          bw_ns += w.ns;
+        }
       }
     }
     if (stats) {
@@ -204,6 +187,10 @@ void execute_plan(const TilePlan& plan, const RunOptions& opt,
       stats->team_wait_events.fetch_add(tw_events, std::memory_order_relaxed);
       stats->team_wait_spins.fetch_add(tw_spins, std::memory_order_relaxed);
       stats->team_wait_ns.fetch_add(tw_ns, std::memory_order_relaxed);
+      // order: relaxed — phase-barrier idle time, kept out of wait_*.
+      stats->barrier_wait_events.fetch_add(bw_events,
+                                           std::memory_order_relaxed);
+      stats->barrier_wait_ns.fetch_add(bw_ns, std::memory_order_relaxed);
     }
   });
 }

@@ -15,9 +15,9 @@
 // the tube's wavefronts with a one-wavefront stagger: in window W (all
 // members run the identical window range [w_lo, w_hi + m - 1]), member k
 // computes its band's slabs of wavefront w = W - k, every window opening
-// with one team-barrier crossing. One final crossing after the last window
+// with one group-barrier crossing. One final crossing after the last window
 // orders all members' work before the group lead publishes the tile's
-// DoneFlag.
+// index to the group's ProgressCell.
 //
 // Why every intra-tube dependence is ordered. A slab (w, t) reads (and
 // WAR-overwrites against) positions pos' in [pos - s, pos + s] at t - 1,
@@ -30,12 +30,12 @@
 //   * k' = k: same member. Either w' < w (an earlier window of the same
 //     member: program order) or w' = w and the member walks its band's
 //     timesteps ascending, so t - 1 precedes t in program order.
-// Inter-tube dependences are the plan's Done edges, untouched: the lead
+// Inter-tube dependences are the plan's sync edges, untouched: the lead
 // acquires them before the first window and the first window's barrier
 // propagates the acquisition to every member.
 //
 // Rejected alternatives (measured/proved during design): per-wavefront
-// plan tiles explode the IR by orders of magnitude; tile-granular Done
+// plan tiles explode the IR by orders of magnitude; tile-granular sync
 // edges between member bands serialize the tube; a relative-position block
 // partition of each wavefront's t-range violates the k' <= k band
 // monotonicity the ordering argument needs.
@@ -74,7 +74,7 @@ inline std::vector<int> mwd_band_partition(const DiamondTiling& dt,
 }
 
 /// Run member `member` of an m-wide group over one Scheme::Mwd DiamondTube
-/// tile. `barrier()` must cross the group's TeamBarrier (and account the
+/// tile. `barrier()` must cross the group's SpinBarrier (and account the
 /// crossing); `fn` receives the member's slabs. Every member invokes this
 /// with the identical tile, so barrier counts always match. The slab stream
 /// replicates for_each_slab's DiamondTube enumeration exactly, restricted to

@@ -4,8 +4,8 @@
 // Every scheme (naive, CATS1/2/3, PluTo-like) first *emits* its schedule as
 // data — a list of tiles (space-time boxes with a thread owner and a fixed
 // intra-tile traversal order) plus the synchronization the schedule performs
-// (point-to-point ProgressCell / DoneFlag edges and global barrier phases) —
-// and execution is then a walk of the emitted plan (plan/execute.hpp). The
+// (point-to-point tile-to-tile edges and global barrier phases) — and
+// execution is then a walk of the emitted plan (plan/execute.hpp). The
 // verifier (plan/verify.hpp) walks the *same* tiles through the *same* slab
 // enumeration below, so what is checked is exactly what runs: the IR cannot
 // drift from reality because reality is produced from the IR.
@@ -72,15 +72,13 @@ struct Tile {
   /// with first_in_group false contributes nothing (naive/PluTo blocks).
   std::int32_t group = -1;
   bool first_in_group = false;
-  bool publishes_progress = false;  ///< owner's ProgressCell.publish(u) after the tile
-  bool publishes_done = false;      ///< this tile's DoneFlag.set() after the tile
   TileKind kind = TileKind::SkewedBlock;
 
   int t0 = 1, t1 = 0;  ///< inclusive timestep range (t0 = chunk base for columns)
 
   // WavefrontColumn: wavefront index u, local time range [tau_lo, tau_hi]
   // (timestep t0 + tau, traversal position u - s*tau). May be empty — the
-  // column still publishes u.
+  // column is still a tile its neighbour can wait on.
   std::int64_t u = 0;
   std::int64_t tau_lo = 0, tau_hi = -1;
 
@@ -99,26 +97,22 @@ struct Tile {
 };
 
 /// A recorded point-to-point synchronization: before running tile `to`, its
-/// owner waits until `from` is complete. Done waits on the producer tile's
-/// DoneFlag; ProgressGE waits until the producer's *owner thread* has
-/// published a wavefront >= value (`from` identifies the same-phase column
-/// whose publish satisfies the wait — the verifier resolves the bound
-/// against the producer thread's program order, exactly like the executor's
-/// ProgressCell observes it).
+/// owner waits until the owner of `from` has published a tile index >=
+/// `from`. Every owner publishes the index of each tile it finishes to its
+/// one ProgressCell and runs its tiles in ascending index order, so the
+/// wait is satisfied exactly when `from` is complete. The same edge serves
+/// CATS1's split-tiling waits and the diamond waits of CATS2/CATS3/MWD.
 struct SyncEdge {
   std::int32_t from = 0;
   std::int32_t to = 0;
-  enum class Kind : std::uint8_t { Done, ProgressGE } kind = Kind::Done;
-  std::int64_t value = 0;  ///< ProgressGE bound; unused for Done
 };
 
 /// Global synchronization performed after every phase (including the last,
-/// matching the schemes: naive barriers after each timestep, CATS1 runs the
-/// barrier/reset/barrier sequence after each chunk).
+/// matching the schemes: naive barriers after each timestep, CATS1 after
+/// each chunk).
 enum class PhaseSync : std::uint8_t {
-  None,                 ///< no global sync (CATS2/3: done-flags only)
-  Barrier,              ///< one barrier (naive / PluTo hyperplanes)
-  BarrierResetBarrier,  ///< barrier, ProgressCell reset, barrier (CATS1 chunks)
+  None,     ///< no global sync (CATS2/3/MWD: tile-to-tile edges only)
+  Barrier,  ///< one barrier (naive, PluTo hyperplanes, CATS1 chunks)
 };
 
 struct TilePlan {

@@ -14,16 +14,16 @@
 //
 // Mirroring the tile-plan philosophy (plan/plan.hpp), the whole cross-shard
 // protocol is emitted as *data* first: per shard a program-order step list
-// (Compute / Exchange) whose waits are ProgressGE bounds on the two
-// per-shard monotone counters
+// (Compute / Exchange) whose waits are lower bounds on the two per-shard
+// monotone counters
 //
 //   Computed[i] >= b+1  — shard i finished computing block b
 //   Copied[i]   >= b+1  — shard i finished reading its neighbors for block b
 //
 // and the executor (serve/halo.hpp) walks exactly these steps, mapping each
 // wait onto a threads/progress.hpp ProgressCell::wait_ge and each publish
-// onto ProgressCell::publish — the same tile-to-tile sync cells CATS1 uses
-// for split-tiling, now at shard boundaries. verify_shard_schedule checks
+// onto ProgressCell::publish — the same tile-to-tile sync cells every plan
+// edge waits on, now at shard boundaries. verify_shard_schedule checks
 // the emitted protocol with no execution: both cross-shard dependence
 // directions (flow: a halo refresh must wait for the producing neighbor's
 // block; anti: a neighbor must not overwrite rows before this shard copied
@@ -47,7 +47,7 @@ struct ShardDomain {
 /// The two per-shard progress counters of the halo protocol.
 enum class ShardCell : std::uint8_t { Computed, Copied };
 
-/// One ProgressGE wait: block until `cell` of `shard` reaches `bound`.
+/// One wait_ge: block until `cell` of `shard` reaches `bound`.
 struct ShardWait {
   ShardCell cell = ShardCell::Computed;
   std::int32_t shard = 0;

@@ -233,59 +233,13 @@ VerifyReport verify_plan(const TilePlan& p, const VerifyOptions& opt) {
     seq[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(ord.size());
   }
 
-  // ---- Sync-edge resolution (progress check, part 1).
-  // Done edges need a producer that publishes its flag. A ProgressGE wait on
-  // thread R's cell is satisfied by the earliest tile in R's program order
-  // that publishes a wavefront >= value and is visible to the waiter's
-  // phase: with BarrierResetBarrier the cell is cleared between phases, so
-  // only the waiter's own phase counts; otherwise earlier phases persist.
-  std::vector<std::pair<std::int32_t, std::int32_t>> redges;
-  redges.reserve(p.edges.size());
-  for (const SyncEdge& e : p.edges) {
-    if (e.kind == SyncEdge::Kind::Done) {
-      if (!p.tiles[e.from].publishes_done) {
-        Diag d;
-        d.kind = DiagKind::StuckWait;
-        d.tile_a = e.to;
-        d.tile_b = e.from;
-        d.detail = "Done wait on a tile that never publishes its done flag";
-        sink.emit(std::move(d));
-        continue;
-      }
-      redges.emplace_back(e.from, e.to);
-      continue;
-    }
-    const std::int32_t powner = p.tiles[e.from].owner;
-    const std::int32_t wphase = p.tiles[e.to].phase;
-    std::int32_t resolved = -1;
-    for (std::int32_t cand : order[static_cast<std::size_t>(powner)]) {
-      const Tile& c = p.tiles[cand];
-      const bool visible = p.phase_sync == PhaseSync::BarrierResetBarrier
-                               ? c.phase == wphase
-                               : c.phase <= wphase;
-      if (visible && c.publishes_progress && c.u >= e.value) {
-        resolved = cand;
-        break;
-      }
-    }
-    if (resolved < 0) {
-      Diag d;
-      d.kind = DiagKind::StuckWait;
-      d.tile_a = e.to;
-      d.tile_b = e.from;
-      d.bytes = e.value;
-      d.detail = "no publish by the producer thread reaches the waited "
-                 "progress bound in the waiter's phase";
-      sink.emit(std::move(d));
-      continue;
-    }
-    redges.emplace_back(resolved, e.to);
-  }
-
-  // ---- Happens-before graph: per-owner program order + resolved sync edges
-  // + virtual barrier nodes between phases. Kahn toposort doubles as the
-  // deadlock check (progress check, part 2) and drives the vector-clock
-  // computation used for symbolic dependence coverage.
+  // ---- Happens-before graph: per-owner program order + sync edges +
+  // virtual barrier nodes between phases. An edge's wait on the producer
+  // owner's cell is satisfied exactly when `from` completes (owners publish
+  // every tile index, ascending), so each edge is the graph edge from -> to
+  // as recorded. Kahn toposort doubles as the deadlock check (progress
+  // check) and drives the vector-clock computation used for symbolic
+  // dependence coverage.
   const std::int32_t nbar =
       (p.phase_sync != PhaseSync::None && p.phases > 1)
           ? static_cast<std::int32_t>(p.phases - 1)
@@ -303,7 +257,7 @@ VerifyReport verify_plan(const TilePlan& p, const VerifyOptions& opt) {
       add_edge(ord[i - 1], ord[i]);
     }
   }
-  for (const auto& [from, to] : redges) add_edge(from, to);
+  for (const SyncEdge& e : p.edges) add_edge(e.from, e.to);
   if (nbar > 0) {
     for (std::int32_t i = 0; i < n; ++i) {
       const std::int32_t ph = p.tiles[i].phase;

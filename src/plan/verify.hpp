@@ -23,10 +23,11 @@
 //      clamp-floored by the selector (TZ < 1, raw BZ < 2s) report warnings,
 //      not errors.
 //
-//  (c) Progress — every sync edge is resolvable (a Done producer publishes,
-//      a ProgressGE bound is eventually published by the producer thread in
-//      the same phase) and the combined sync graph (program order + edges +
-//      barrier phases) is acyclic, so every tile is reached.
+//  (c) Progress — the combined sync graph (program order + edges + barrier
+//      phases) is acyclic, so every tile is reached. An edge {from, to}
+//      needs no separate resolution: its wait on the owner of `from` is
+//      satisfied exactly when `from` completes, because every owner
+//      publishes each finished tile's index, in ascending order.
 //
 // Additionally the slab geometry itself is audited: per timestep the slabs
 // must partition the domain (no overlap, no gap, nothing outside).
@@ -45,7 +46,7 @@ enum class DiagKind : std::uint8_t {
   TileOverlap,      ///< two slabs at one timestep share a point
   CoverageGap,      ///< a timestep's slabs do not cover the whole domain
   DepUncovered,     ///< a slope-s dependence with no happens-before order
-  StuckWait,        ///< a sync edge no publish can ever satisfy (deadlock)
+  StuckWait,        ///< a shard wait no publish can ever satisfy (deadlock)
   SyncCycle,        ///< the sync graph has a cycle (deadlock)
   WavefrontOverflow,///< a wavefront working set exceeds Z
   TzExceedsEq1,     ///< plan TZ above Eq. 1 for the plan's cache model

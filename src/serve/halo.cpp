@@ -139,9 +139,9 @@ JobResult run_split_impl(const JobRequest& rq, const ShardSchedule& sched,
              "run_split_job: %d slots for %d schedule shards",
              static_cast<int>(slots.size()), S);
 
-  // One Computed and one Copied cell per shard — the schedule's ProgressGE
-  // bounds land on these via wait_ge/publish, exactly like CATS1's
-  // tile-to-tile cells but across shard boundaries.
+  // One Computed and one Copied cell per shard — the schedule's wait
+  // bounds land on these via wait_ge/publish, exactly like the plan
+  // executor's owner cells but across shard boundaries.
   std::vector<plan_ir::ShardDomain> owned = sched.owned;
   auto computed = std::make_unique<ProgressCell[]>(static_cast<std::size_t>(S));
   auto copied = std::make_unique<ProgressCell[]>(static_cast<std::size_t>(S));

@@ -9,8 +9,8 @@
 // the shard's own cache — with Exchange steps that refresh the halo from the
 // neighbors' owned rows. Every wait recorded in the schedule maps onto a
 // ProgressCell::wait_ge and every step completion onto a publish — the same
-// tile-to-tile ProgressGE cells CATS1 uses for split-tiling, now spanning
-// shard boundaries.
+// tile-to-tile cells every plan edge waits on, now spanning shard
+// boundaries.
 //
 // Bit-exactness (asserted in tests/test_serve.cpp): the overlap rows are
 // *recomputed* by both neighbors with identical arithmetic (deep halo), the

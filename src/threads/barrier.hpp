@@ -1,15 +1,27 @@
 #pragma once
 // Sense-reversing barrier for a fixed set of persistent worker threads.
 //
-// The paper synchronizes all threads only between time chunks ("synchronize
-// threads" in Alg. 1/2), so the barrier is not on the critical path; we spin
-// briefly for the common fast case and yield afterwards so oversubscribed
-// runs (more threads than cores) still make progress.
+// Two kinds of crossing use it. The executor's phase barrier orders all
+// workers between time chunks ("synchronize threads" in Alg. 1/2), and each
+// MWD thread group (plan/mwd.hpp) crosses its own barrier once per
+// wavefront window, so a member never starts window k+1 before every member
+// has finished window k. Both wait on the one adaptive ladder
+// (threads/sync_shim.hpp): spin briefly for the common fast case, yield
+// afterwards so oversubscribed runs (more threads than cores) still make
+// progress, and return the idle time as a WaitResult for RunStats.
+//
+// The two atomics sit on their own cache lines: group barriers live side by
+// side in one container, and a member spinning on sense_ must not share a
+// line with the arrivals of a neighbouring group.
+//
+// The observer hooks report a crossing as an all-to-all edge among the
+// participants, so dependence-oracle runs (src/check) see every
+// happens-before edge a phase or a window relies on.
 //
 // The body is templated on a substrate shim (threads/sync_shim.hpp) and an
 // orders provider so the model checker (src/analysis) can run this exact
 // algorithm under a simulated weak-memory interpreter and re-check every
-// order one weakening step down. Production uses the aliases at the bottom;
+// order one weakening step down. Production uses the alias at the bottom;
 // the orders are `static constexpr`, so codegen is unchanged.
 
 #include <atomic>
@@ -60,34 +72,28 @@ class BasicSpinBarrier {
   BasicSpinBarrier(const BasicSpinBarrier&) = delete;
   BasicSpinBarrier& operator=(const BasicSpinBarrier&) = delete;
 
-  void arrive_and_wait() {
-    // Validation: a barrier is an all-to-all edge — every participant's
-    // arrival happens-before every participant's departure.
+  /// Returns the idle-spin cost of this crossing: spins and ns are both 0
+  /// for the last arriver and for waits whose first probe already passed.
+  WaitResult arrive_and_wait() {
     SyncObserver* const obs = Shim::observer();
     if (obs) obs->on_barrier_arrive(this);
     const bool my_sense = !sense_.load(O::sense_peek());
+    WaitResult r;
     if (count_.fetch_add(1, O::arrive()) == n_ - 1) {
       count_.store(0, O::count_reset());
       sense_.store(my_sense, O::sense_publish());
-      if (obs) obs->on_barrier_leave(this);
-      return;
-    }
-    int spins = 0, exponent = 0;
-    while (sense_.load(O::sense_wait()) != my_sense) {
-      if (++spins > kSpinLimit) {
-        Shim::yield();
-      } else {
-        Shim::pause(exponent);
-      }
+    } else {
+      r = detail::basic_adaptive_wait<Shim>(
+          [&] { return sense_.load(O::sense_wait()) == my_sense; });
     }
     if (obs) obs->on_barrier_leave(this);
+    return r;
   }
 
  private:
-  static constexpr int kSpinLimit = 1024;
   const int n_;
-  typename Shim::template Atomic<int> count_{0};
-  typename Shim::template Atomic<bool> sense_{false};
+  alignas(64) typename Shim::template Atomic<int> count_{0};
+  alignas(64) typename Shim::template Atomic<bool> sense_{false};
 };
 
 using SpinBarrier = BasicSpinBarrier<RealSyncShim>;

@@ -1,93 +1,48 @@
 #pragma once
-// Tile-to-tile synchronization cells.
+// Tile-to-tile synchronization cell.
 //
 // CATS replaces global barriers inside a time chunk with point-to-point
-// waits: a thread publishes the index of the last wavefront it completed and
-// its neighbor waits for that counter to pass a bound (split-tiling in
-// CATS1), or a diamond publishes a done flag that the two diamonds above it
-// wait on (CATS2). Cells are padded to a cache line to avoid false sharing.
+// waits. Each plan owner publishes the plan index of every tile it finishes
+// to its one ProgressCell, and a consumer waits until the producer's owner
+// has published an index >= the producer tile (plan/execute.hpp). That one
+// edge is CATS1's split-tiling wait on the right neighbour's wavefront and
+// a diamond's wait on the two diamonds below it (CATS2, CATS3, MWD). An
+// owner runs its tiles in ascending index order, so a cell's value only
+// rises and never needs a reset. Cells are padded to a cache line to avoid
+// false sharing.
 //
-// Waits are adaptive: probes back off with exponentially many PAUSEs (see
-// threads/cpu_pause.hpp) before escalating to yield at kSpinLimit, and the
-// slow path measures its own wall-clock cost so RunStats can report wait
-// *time*, not just an iteration count. The fast path (condition already
-// satisfied) touches no clock.
+// Waits use the shared adaptive ladder (threads/sync_shim.hpp), which
+// measures its own wall-clock cost so RunStats can report wait *time*, not
+// just an iteration count. The fast path (bound already reached) touches
+// no clock.
 //
-// Validation: every release (publish/set) and every satisfied wait reports a
+// Validation: every publish and every satisfied wait reports a
 // happens-before edge through the thread-local SyncObserver so the
 // dependence oracle (src/check) can reconstruct the ordering the schedule
 // actually established. The release hook fires before the releasing store;
 // the acquire hook fires after the wait condition holds — including the
 // fast path, where the edge is just as real.
 //
-// Both cells are shim-templated (threads/sync_shim.hpp): the model checker
-// (src/analysis) explores publish/wait_ge and set/test end-to-end under the
-// weak-memory interpreter and proves each order below minimal.
+// The cell is shim-templated (threads/sync_shim.hpp): the model checker
+// (src/analysis) explores publish/wait_ge end-to-end under the weak-memory
+// interpreter and proves each order below minimal.
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 
 #include "threads/sync_shim.hpp"
 
 namespace cats {
 
-/// Outcome of one wait: probe iterations and wall-clock nanoseconds spent.
-/// Both are 0 when the condition already held on the first probe.
-struct WaitResult {
-  std::int64_t spins = 0;
-  std::int64_t ns = 0;
-};
-
-namespace detail {
-
-/// Shared adaptive-wait loop: probes `satisfied()` with exponential PAUSE
-/// backoff, escalating to yield after ProgressCell::kSpinLimit probes. The
-/// clock starts only once the first probe fails, so uncontended waits cost
-/// one load. Templated on the shim so simulated runs neither spin nor touch
-/// a real clock (SimShim::pause parks the thread; now_ns() returns 0).
-template <class Shim, class Satisfied>
-WaitResult basic_adaptive_wait(Satisfied&& satisfied, int spin_limit) {
-  WaitResult r;
-  if (satisfied()) return r;
-  const std::int64_t start = Shim::now_ns();
-  int exponent = 0;
-  do {
-    if (++r.spins > spin_limit) {
-      Shim::yield();
-    } else {
-      Shim::pause(exponent);
-    }
-  } while (!satisfied());
-  r.ns = Shim::now_ns() - start;
-  return r;
-}
-
-template <class Satisfied>
-WaitResult adaptive_wait(Satisfied&& satisfied, int spin_limit) {
-  return basic_adaptive_wait<RealSyncShim>(std::forward<Satisfied>(satisfied),
-                                           spin_limit);
-}
-
-}  // namespace detail
-
 /// Orders of BasicProgressCell's sites, verified minimal by the checker:
-/// weakening publish or either acquire load loses the happens-before edge a
-/// SyncEdge{ProgressGE} assumes, and the checker's consumer scenario then
-/// reads the producer's tile data racily (counterexample trace).
+/// weakening publish or the acquire load loses the happens-before edge a
+/// plan SyncEdge assumes, and the checker's consumer scenario then reads
+/// the producer's tile data racily (counterexample trace).
 struct ProgressCellProdOrders {
-  // order: relaxed — reset happens only between phases, under a barrier.
-  static constexpr std::memory_order reset() {
-    return std::memory_order_relaxed;
-  }
   // order: release — pairs with wait_ge's acquire; waiters see all writes
-  // up to the published wavefront.
+  // up to the published tile.
   static constexpr std::memory_order publish() {
     return std::memory_order_release;
-  }
-  // order: acquire — pairs with publish's release.
-  static constexpr std::memory_order load() {
-    return std::memory_order_acquire;
   }
   // order: acquire — pairs with publish's release.
   static constexpr std::memory_order wait() {
@@ -100,62 +55,20 @@ template <class Shim, class O = ProgressCellProdOrders>
 struct alignas(64) BasicProgressCell {
   typename Shim::template Atomic<std::int64_t> value{INT64_MIN};
 
-  void reset() { value.store(INT64_MIN, O::reset()); }
-
   void publish(std::int64_t v) {
     if (SyncObserver* o = Shim::observer()) o->on_release(this, v);
     value.store(v, O::publish());
   }
 
-  std::int64_t load() const { return value.load(O::load()); }
-
   /// Blocks until the published value reaches `bound`.
   WaitResult wait_ge(std::int64_t bound) const {
     const WaitResult r = detail::basic_adaptive_wait<Shim>(
-        [&] { return value.load(O::wait()) >= bound; }, kSpinLimit);
+        [&] { return value.load(O::wait()) >= bound; });
     if (SyncObserver* o = Shim::observer()) o->on_acquire(this, bound);
     return r;
   }
-
-  static constexpr int kSpinLimit = 1024;
 };
 
 using ProgressCell = BasicProgressCell<RealSyncShim>;
-
-/// Orders of BasicDoneFlag's two sites; checker-minimal (set→test is the
-/// entire Done SyncEdge, so either weakening races the published tile).
-struct DoneFlagProdOrders {
-  // order: release — pairs with test's acquire; the tile's writes are
-  // visible before the flag reads set.
-  static constexpr std::memory_order set() {
-    return std::memory_order_release;
-  }
-  // order: acquire — pairs with set's release.
-  static constexpr std::memory_order test() {
-    return std::memory_order_acquire;
-  }
-};
-
-/// One-shot done flag (per diamond tile).
-template <class Shim, class O = DoneFlagProdOrders>
-struct BasicDoneFlag {
-  typename Shim::template Atomic<std::uint8_t> done{0};
-
-  void set() {
-    if (SyncObserver* o = Shim::observer()) o->on_release(this, 1);
-    done.store(1, O::set());
-  }
-  bool test() const { return done.load(O::test()) != 0; }
-
-  /// Blocks until set.
-  WaitResult wait() const {
-    const WaitResult r = detail::basic_adaptive_wait<Shim>(
-        [&] { return test(); }, BasicProgressCell<Shim>::kSpinLimit);
-    if (SyncObserver* o = Shim::observer()) o->on_acquire(this, 1);
-    return r;
-  }
-};
-
-using DoneFlag = BasicDoneFlag<RealSyncShim>;
 
 }  // namespace cats

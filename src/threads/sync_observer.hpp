@@ -2,12 +2,12 @@
 // Observation hooks for the synchronization primitives (validation only).
 //
 // The dependence oracle (src/check) must see every happens-before edge the
-// schedule actually establishes: a ProgressCell publish/wait_ge pair, a
-// DoneFlag set/wait pair, or a barrier crossing. Rather than coupling the
-// threading substrate to the checker, the primitives report each crossing
-// through a thread-local SyncObserver. Null (the default) costs one
-// thread-local load and a predictable branch per *synchronization*
-// operation — never per stencil point — so measured runs are unaffected.
+// schedule actually establishes: a ProgressCell publish/wait_ge pair or a
+// barrier crossing. Rather than coupling the threading substrate to the
+// checker, the primitives report each crossing through a thread-local
+// SyncObserver. Null (the default) costs one thread-local load and a
+// predictable branch per *synchronization* operation — never per stencil
+// point — so measured runs are unaffected.
 //
 // Hook placement matters for soundness: the release hook fires BEFORE the
 // releasing store (so the observer's clock state is recorded by the time a

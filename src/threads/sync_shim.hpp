@@ -6,7 +6,7 @@
 //
 //   Shim::Atomic<T>   the atomic cell type (std::atomic<T> in production)
 //   Shim::pause(e)    one backoff step of a spin loop (exponential PAUSE)
-//   Shim::yield()     scheduler escalation after kSpinLimit probes
+//   Shim::yield()     scheduler escalation after kWaitSpinLimit probes
 //   Shim::observer()  the thread-local SyncObserver (validation hooks)
 //   Shim::now_ns()    monotonic clock for WaitResult accounting
 //
@@ -46,5 +46,42 @@ struct RealSyncShim {
         .count();
   }
 };
+
+/// Outcome of one wait: probe iterations and wall-clock nanoseconds spent.
+/// Both are 0 when the condition already held on the first probe.
+struct WaitResult {
+  std::int64_t spins = 0;
+  std::int64_t ns = 0;
+};
+
+/// Probes before a wait escalates from PAUSE backoff to yield.
+inline constexpr int kWaitSpinLimit = 1024;
+
+namespace detail {
+
+/// The one wait ladder every primitive spins on (SpinBarrier's sense flip,
+/// ProgressCell's bound): probes `satisfied()` with exponential PAUSE
+/// backoff, escalating to yield after kWaitSpinLimit probes. The clock starts
+/// only once the first probe fails, so uncontended waits cost one load.
+/// Templated on the shim so simulated runs neither spin nor touch a real
+/// clock (SimShim::pause parks the thread; now_ns() returns 0).
+template <class Shim, class Satisfied>
+WaitResult basic_adaptive_wait(Satisfied&& satisfied) {
+  WaitResult r;
+  if (satisfied()) return r;
+  const std::int64_t start = Shim::now_ns();
+  int exponent = 0;
+  do {
+    if (++r.spins > kWaitSpinLimit) {
+      Shim::yield();
+    } else {
+      Shim::pause(exponent);
+    }
+  } while (!satisfied());
+  r.ns = Shim::now_ns() - start;
+  return r;
+}
+
+}  // namespace detail
 
 }  // namespace cats

@@ -160,11 +160,13 @@ TuneResult search(MakeKernel&& make, int T, const RunOptions& base,
     // parallelism for sqrt(g) wider diamonds (plan/emit.hpp emit_mwd).
     // Only widths that tile the worker pool are legal (mwd_group_width),
     // and the knob only matters when the candidate runs Scheme::Mwd — so
-    // probe it on an explicit MWD switch of the winner. Each probe sticks
-    // only if it wins.
-    if (d.dims >= 2 && opt.threads > 1) {
+    // probe it on an explicit MWD switch of the winner, against the pool
+    // the winner runs (the thread axis above may have halved it). Each
+    // probe sticks only if it wins.
+    const int mwd_pool = res.best.threads > 0 ? res.best.threads : opt.threads;
+    if (d.dims >= 2 && mwd_pool > 1) {
       for (int gw : {2, 4}) {
-        if (gw > opt.threads || opt.threads % gw != 0) continue;
+        if (gw > mwd_pool || mwd_pool % gw != 0) continue;
         if (budget.seconds() > cfg.budget_seconds) break;
         Candidate c = res.best;
         c.scheme = Scheme::Mwd;

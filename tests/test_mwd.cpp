@@ -280,7 +280,7 @@ TEST(Mwd, OracleClean2D) {
     oracle.check_complete(T);
     EXPECT_TRUE(oracle.ok()) << "group=" << group;
     EXPECT_EQ(oracle.points_checked(), static_cast<std::int64_t>(W) * H * T);
-    // The member handoff rides the same Done flags as tile-to-tile sync.
+    // The group leads' edge waits ride the same owner cells as every plan.
     EXPECT_GT(oracle.release_count(), 0);
     EXPECT_GT(oracle.acquire_count(), 0);
   }

@@ -133,13 +133,13 @@ TEST(OraclePositive, ThreadedCats1RecordsEdges) {
   EXPECT_FALSE(oracle.edges().empty());
 }
 
-TEST(OraclePositive, ThreadedCats2RecordsDoneFlagEdges) {
+TEST(OraclePositive, ThreadedCats2RecordsDiamondEdges) {
   check::ProbeKernel2D k(64, 24, 1);
   DepOracle oracle(64, 24, 1, k.slope(), 4);
   run(k, 8, probe_options(Scheme::Cats2, 4, &oracle));
   EXPECT_TRUE(oracle.ok());
-  EXPECT_GT(oracle.release_count(), 0);  // DoneFlag::set
-  EXPECT_GT(oracle.acquire_count(), 0);  // DoneFlag::wait
+  EXPECT_GT(oracle.release_count(), 0);  // owner cells' publishes
+  EXPECT_GT(oracle.acquire_count(), 0);  // diamond waits on them
 }
 
 // opt.validate wraps the run in a temporary oracle and aborts on violation;
@@ -297,6 +297,44 @@ TEST(OraclePositive, PublishedHandOffIsClean) {
   EXPECT_TRUE(oracle.ok()) << oracle.violation_count() << " violations";
   EXPECT_EQ(oracle.release_count(), 1);
   EXPECT_EQ(oracle.acquire_count(), 1);
+}
+
+// An acquire credits only the release that reached its bound. The producer
+// publishes 1, computes more rows, publishes 2 and is joined; a consumer
+// that waited for 1 and reads those later rows races on them, however far
+// the producer had run ahead when the wait was satisfied.
+TEST(OracleNegative, AcquireCreditsOnlyTheBoundRelease) {
+  const int W = 6;
+  DepOracle oracle(W, 2, 1, /*slope=*/1, 2);
+  ProgressCell cell;
+  std::thread a([&] {
+    const check::ScopedOracleThread bind(&oracle, 0);
+    oracle.on_row(0, 1, 0, 0, 0, W);
+    cell.publish(1);
+    oracle.on_row(0, 1, 1, 0, 0, W);
+    cell.publish(2);
+  });
+  a.join();
+  std::thread b([&] {
+    const check::ScopedOracleThread bind(&oracle, 1);
+    cell.wait_ge(1);  // the cell already holds 2
+    oracle.on_row(1, 2, 1, 0, 0, W);
+  });
+  b.join();
+
+  EXPECT_EQ(oracle.release_count(), 2);
+  EXPECT_EQ(oracle.acquire_count(), 1);
+  const std::vector<Violation> vs = oracle.violations();
+  ASSERT_FALSE(vs.empty());
+  bool saw_later_row = false;
+  for (const Violation& v : vs) {
+    EXPECT_EQ(v.kind, ViolationKind::UnorderedRead) << v.to_string();
+    EXPECT_EQ(v.t, 2);
+    EXPECT_EQ(v.reader_tid, 1);
+    EXPECT_EQ(v.writer_tid, 0);
+    saw_later_row |= v.ny == 1;
+  }
+  EXPECT_TRUE(saw_later_row);
 }
 
 TEST(OracleNegative, IncompleteScheduleIsCaught) {

@@ -6,8 +6,8 @@
 // must map to a (consumer tile, producer tile) pair the verifier already
 // flagged as DepUncovered — dynamic violations are a subset of the static
 // prediction. The oracle only believes *recorded* happens-before edges
-// (never timing), and its one approximation (progress publishes credited
-// early) can only suppress violations, so containment is structural.
+// (never timing), and an acquire credits only the release that reached its
+// bound, so a producer owner running ahead cannot hide the deleted edge.
 //
 // The last sweep ties run() to emit_plan: for every scheme, run() must
 // execute exactly the tiles emit_plan emits for the same request, with
@@ -88,7 +88,10 @@ struct DepWitness {
 DepWitness map_violation(const cats::check::Violation& v) {
   using cats::check::ViolationKind;
   switch (v.kind) {
-    case ViolationKind::NotAdvanced:      // own history missing at t-1
+    case ViolationKind::NotAdvanced:  // own history not at expected_t:
+      // t-1 (opposite-parity slot) or t-2 (same-parity slot), so the
+      // producer is whichever tile computed the point at expected_t.
+      return {v.t, v.expected_t, v.x, v.y, v.nx, v.ny, true};
     case ViolationKind::MissingDep:       // neighbor not yet at t-1
     case ViolationKind::UnorderedRead:    // neighbor at t-1 but no HB edge
       return {v.t, v.t - 1, v.x, v.y, v.nx, v.ny, true};

@@ -93,7 +93,6 @@ TEST(PlanVerify, DroppedSyncEdgeYieldsExactDependencePair) {
   // barrier between them: t=2 may start before t=1 finished.
   TilePlan p = shell_1d(8, 2, 2);
   p.tiles.push_back(block(0, 0, 1, 1, {0, 7, 0, 0, 0, 0}));
-  p.tiles.back().publishes_done = true;
   p.tiles.push_back(block(1, 0, 2, 2, {0, 7, 0, 0, 0, 0}));
 
   const VerifyReport rep = verify_plan(p);
@@ -107,8 +106,8 @@ TEST(PlanVerify, DroppedSyncEdgeYieldsExactDependencePair) {
   EXPECT_EQ(d->x, 0);  // first uncovered point
   EXPECT_EQ(d->nx, 0);
 
-  // Recording the done edge the executor would wait on fixes it...
-  p.edges.push_back({0, 1, SyncEdge::Kind::Done, 0});
+  // Recording the edge the executor would wait on fixes it...
+  p.edges.push_back({0, 1});
   EXPECT_TRUE(verify_plan(p).ok()) << dump(verify_plan(p));
 
   // ...and so does splitting the tiles into barrier-separated phases.
@@ -168,14 +167,12 @@ TEST(PlanVerify, WavefrontColumnOutsideDomain) {
   EXPECT_EQ(d->x, 9);
 }
 
-TEST(PlanVerify, MutualDoneEdgesYieldSyncCycle) {
+TEST(PlanVerify, MutualEdgesYieldSyncCycle) {
   TilePlan p = shell_1d(8, 1, 2);
   p.tiles.push_back(block(0, 0, 1, 1, {0, 3, 0, 0, 0, 0}));
   p.tiles.push_back(block(1, 0, 1, 1, {4, 7, 0, 0, 0, 0}));
-  p.tiles[0].publishes_done = true;
-  p.tiles[1].publishes_done = true;
-  p.edges.push_back({0, 1, SyncEdge::Kind::Done, 0});
-  p.edges.push_back({1, 0, SyncEdge::Kind::Done, 0});
+  p.edges.push_back({0, 1});
+  p.edges.push_back({1, 0});
 
   const VerifyReport rep = verify_plan(p);
   EXPECT_FALSE(rep.ok()) << dump(rep);
@@ -184,37 +181,6 @@ TEST(PlanVerify, MutualDoneEdgesYieldSyncCycle) {
   EXPECT_NE(d->tile_a, d->tile_b);
   EXPECT_TRUE(d->tile_a == 0 || d->tile_a == 1);
   EXPECT_TRUE(d->tile_b == 0 || d->tile_b == 1);
-}
-
-TEST(PlanVerify, UnpublishedDoneFlagYieldsStuckWait) {
-  TilePlan p = shell_1d(8, 1, 2);
-  p.tiles.push_back(block(0, 0, 1, 1, {0, 3, 0, 0, 0, 0}));
-  p.tiles.push_back(block(1, 0, 1, 1, {4, 7, 0, 0, 0, 0}));
-  p.edges.push_back({0, 1, SyncEdge::Kind::Done, 0});  // tile 0 never sets it
-
-  const VerifyReport rep = verify_plan(p);
-  EXPECT_FALSE(rep.ok()) << dump(rep);
-  const Diag* d = find_kind(rep, DiagKind::StuckWait);
-  ASSERT_NE(d, nullptr) << dump(rep);
-  EXPECT_EQ(d->tile_a, 1);
-  EXPECT_EQ(d->tile_b, 0);
-}
-
-TEST(PlanVerify, UnreachableProgressBoundYieldsStuckWait) {
-  TilePlan p = shell_1d(8, 1, 2);
-  p.tiles.push_back(block(0, 0, 1, 1, {0, 3, 0, 0, 0, 0}));
-  p.tiles.back().publishes_progress = true;
-  p.tiles.back().u = 3;  // highest wavefront thread 0 ever publishes
-  p.tiles.push_back(block(1, 0, 1, 1, {4, 7, 0, 0, 0, 0}));
-  p.edges.push_back({0, 1, SyncEdge::Kind::ProgressGE, 5});
-
-  const VerifyReport rep = verify_plan(p);
-  EXPECT_FALSE(rep.ok()) << dump(rep);
-  const Diag* d = find_kind(rep, DiagKind::StuckWait);
-  ASSERT_NE(d, nullptr) << dump(rep);
-  EXPECT_EQ(d->tile_a, 1);
-  EXPECT_EQ(d->tile_b, 0);
-  EXPECT_EQ(d->bytes, 5);  // the unreachable bound
 }
 
 TEST(PlanVerify, OversizedWavefrontReportsBytesAgainstCache) {

@@ -25,6 +25,9 @@ TEST(RunStats, SingleThreadNeverWaits) {
   EXPECT_EQ(stats.wait_spins.load(), 0);
   EXPECT_GT(stats.tiles_processed.load(), 0);
   EXPECT_GT(stats.barriers.load(), 0);
+  // A lone participant is always the last arriver at its phase barrier.
+  EXPECT_EQ(stats.barrier_wait_events.load(), 0);
+  EXPECT_EQ(stats.barrier_wait_ns.load(), 0);
 }
 
 TEST(RunStats, Cats2CountsDiamonds) {
@@ -70,6 +73,8 @@ TEST(RunStats, AccumulatesAcrossRuns) {
     run(k, 8, opt);
   }
   EXPECT_EQ(stats.tiles_processed.load(), 3 * 2);  // ceil(8/4) chunks x 3 runs
+  EXPECT_EQ(stats.barriers.load(), 3 * 2);  // one barrier per chunk
   stats.reset();
   EXPECT_EQ(stats.tiles_processed.load(), 0);
+  EXPECT_EQ(stats.barriers.load(), 0);
 }

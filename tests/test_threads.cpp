@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "threads/barrier.hpp"
@@ -74,14 +76,44 @@ TEST(SpinBarrier, OrdersPhases) {
   EXPECT_FALSE(violation.load());
 }
 
+TEST(SpinBarrier, SoloCrossingReportsNoWait) {
+  SpinBarrier solo(1);
+  for (int r = 0; r < 3; ++r) {
+    const WaitResult w = solo.arrive_and_wait();
+    EXPECT_EQ(w.spins, 0);
+    EXPECT_EQ(w.ns, 0);
+  }
+}
+
+TEST(SpinBarrier, BlockedCrossingReportsItsWait) {
+  // Member 1 sleeps before arriving, so whichever member arrives first
+  // spins while the other is away: exactly one crossing blocked, and its
+  // WaitResult carries the idle time. The last arriver reports nothing.
+  ThreadPool pool(2);
+  SpinBarrier bar(2);
+  std::vector<WaitResult> got(2);
+  pool.run([&](int tid) {
+    if (tid == 1) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    got[static_cast<std::size_t>(tid)] = bar.arrive_and_wait();
+  });
+  int blocked = 0;
+  for (const WaitResult& w : got) {
+    if (w.spins == 0) {
+      EXPECT_EQ(w.ns, 0);
+      continue;
+    }
+    ++blocked;
+    EXPECT_GT(w.ns, 0);
+  }
+  EXPECT_EQ(blocked, 1);
+}
+
 TEST(ProgressCell, WaitSeesPublishedValue) {
   ProgressCell cell;
-  EXPECT_EQ(cell.load(), INT64_MIN);
   cell.publish(41);
-  cell.wait_ge(41);  // must not block
-  EXPECT_EQ(cell.load(), 41);
-  cell.reset();
-  EXPECT_EQ(cell.load(), INT64_MIN);
+  const WaitResult w = cell.wait_ge(41);  // must not block
+  EXPECT_EQ(w.spins, 0);
+  EXPECT_EQ(cell.wait_ge(7).spins, 0);  // a lower bound is already reached
 }
 
 TEST(ProgressCell, ProducerConsumerOrdering) {
@@ -103,27 +135,4 @@ TEST(ProgressCell, ProducerConsumerOrdering) {
     }
   });
   EXPECT_TRUE(ok.load());
-}
-
-TEST(DoneFlag, SetAndWait) {
-  DoneFlag f;
-  EXPECT_FALSE(f.test());
-  f.set();
-  EXPECT_TRUE(f.test());
-  f.wait();  // must not block
-}
-
-TEST(DoneFlag, CrossThreadRelease) {
-  ThreadPool pool(2);
-  DoneFlag f;
-  int payload = 0;
-  pool.run([&](int tid) {
-    if (tid == 0) {
-      payload = 99;
-      f.set();
-    } else {
-      f.wait();
-      EXPECT_EQ(payload, 99);
-    }
-  });
 }

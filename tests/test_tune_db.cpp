@@ -402,3 +402,28 @@ TEST(Tuner, SearchFindsAWinnerAndStoresIt) {
   std::remove(path.c_str());
   invalidate_cache();
 }
+
+TEST(Tuner, MwdProbesTileTheWinnersThreadCount) {
+  // On a tiny grid the half-thread candidate usually wins; the MWD probe
+  // that follows must then size its group against that winner's pool, not
+  // the caller's, or run() clamps the width to 1 and the pilot is wasted.
+  auto make = [] {
+    ConstStar2D<1> k(24, 24, default_star2d_weights<1>());
+    k.init([](int x, int y) { return 0.01 * x + 0.02 * y; }, 0.0);
+    return k;
+  };
+  RunOptions base;
+  base.threads = 2;
+  TuneConfig cfg;
+  cfg.reps = 1;
+  cfg.tune_affinity = false;
+  const TuneResult res = search(make, 16, base, cfg);
+  for (const Measured& m : res.all) {
+    if (m.cand.scheme != Scheme::Mwd) continue;
+    const int pool = m.cand.threads > 0 ? m.cand.threads : base.threads;
+    EXPECT_GT(m.cand.mwd_group, 1);
+    EXPECT_EQ(pool % m.cand.mwd_group, 0)
+        << "mwd_group " << m.cand.mwd_group << " over " << pool
+        << " thread(s)";
+  }
+}

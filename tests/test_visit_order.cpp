@@ -5,7 +5,7 @@
 //   * the cell itself has been advanced exactly through t-1, and
 //   * every box-neighborhood input (|dx|,|dy|,|dz| <= s) has a stamp >= t-1.
 // Running it under every scheme with multiple threads validates the whole
-// synchronization design (split-tiling waits, diamond done-flags, barriers)
+// synchronization design (split-tiling waits, diamond waits, barriers)
 // and that each space-time point is computed exactly once.
 
 #include <gtest/gtest.h>

@@ -6,7 +6,7 @@
 // and hands the plan to the static verifier (plan/verify.hpp): dependence
 // coverage (symbolic happens-before over the tile DAG), cache-residency
 // certification (wavefront working set vs Z, Eq. 1 / Eq. 2 conformance) and
-// progress (resolvable waits, acyclic sync graph, full domain coverage).
+// progress (acyclic sync graph, full domain coverage).
 //
 //   $ cats_plan_check --scheme cats2 --dims 2 --nx 2048 --ny 2048 --t 64
 //   $ cats_plan_check --sweep              # CI: ~1000 configurations
@@ -161,21 +161,18 @@ void dump_plan(const TilePlan& p) {
     std::printf(
         "  tile %4zu owner=%d phase=%d kind=%d t=[%d,%d] u=%lld tau=[%lld,"
         "%lld] d=(%lld,%lld) q=%lld base=[%lld,%lld]x[%lld,%lld]x[%lld,%lld]"
-        "%s%s\n",
+        "\n",
         i, t.owner, t.phase, static_cast<int>(t.kind), t.t0, t.t1,
         static_cast<long long>(t.u), static_cast<long long>(t.tau_lo),
         static_cast<long long>(t.tau_hi), static_cast<long long>(t.di),
         static_cast<long long>(t.dj), static_cast<long long>(t.q),
         static_cast<long long>(t.base.xlo), static_cast<long long>(t.base.xhi),
         static_cast<long long>(t.base.ylo), static_cast<long long>(t.base.yhi),
-        static_cast<long long>(t.base.zlo), static_cast<long long>(t.base.zhi),
-        t.publishes_progress ? " +progress" : "",
-        t.publishes_done ? " +done" : "");
+        static_cast<long long>(t.base.zlo), static_cast<long long>(t.base.zhi));
   }
   for (const SyncEdge& e : p.edges) {
-    std::printf("  edge %d -> %d %s %lld\n", e.from, e.to,
-                e.kind == SyncEdge::Kind::Done ? "done" : "progress>=",
-                static_cast<long long>(e.value));
+    std::printf("  edge %d -> %d (owner %d cell >= %d)\n", e.from, e.to,
+                p.tiles[static_cast<std::size_t>(e.from)].owner, e.from);
   }
 }
 
