@@ -45,7 +45,6 @@ constexpr SchemeConfig kConfigs[] = {
 
 RunOptions suite_options(const BenchConfig& cfg, const SchemeConfig& sc) {
   RunOptions opt = options_for(cfg, sc.scheme);
-  opt.tuning = Tuning::Off;  // pinned configs; tuning would blur the diff
   if (sc.mwd_group > 0) {
     // Clamp like run() would (largest divisor of the pool) so a THREADS=1
     // matrix leg times the degenerate single-worker MWD, not a warning.

@@ -8,10 +8,9 @@
 //   CATS_BENCH_CACHE_KB=N  cache parameter Z for CATS (default: detected L2)
 //   CATS_BENCH_REPS=N      repetitions per point, median reported (default 1)
 //   CATS_BENCH_JSON=path   machine-readable BENCH_*.json output
-//   CATS_BENCH_TUNE=db|search  tuning DB policy for Scheme::Auto points
 //   CATS_BENCH_AFFINITY=none|compact|scatter  thread-pinning policy
 //
-// CLI flags (override the environment): --json <path>, --tune db|search,
+// CLI flags (override the environment): --json <path>,
 // --affinity none|compact|scatter.
 
 #include <algorithm>
@@ -30,7 +29,6 @@
 #include "core/stats.hpp"
 #include "simd/vecd.hpp"
 #include "sysinfo/topology.hpp"
-#include "tune/tuner.hpp"
 
 namespace cats::bench {
 
@@ -40,7 +38,6 @@ struct BenchConfig {
   int threads = 1;
   std::size_t cache_bytes = 0;  // 0 = detect
   int reps = 1;
-  Tuning tuning = Tuning::Off;
   AffinityPolicy affinity = AffinityPolicy::None;
 };
 
@@ -50,12 +47,6 @@ inline int env_int(const char* name, int dflt) {
     if (x > 0) return x;
   }
   return dflt;
-}
-
-inline Tuning parse_tuning(const char* v) {
-  if (v && std::strcmp(v, "db") == 0) return Tuning::UseDb;
-  if (v && std::strcmp(v, "search") == 0) return Tuning::Search;
-  return Tuning::Off;
 }
 
 inline AffinityPolicy parse_affinity(const char* v) {
@@ -74,11 +65,9 @@ inline BenchConfig bench_config(int argc = 0, char** argv = nullptr) {
   c.cache_bytes = static_cast<std::size_t>(env_int("CATS_BENCH_CACHE_KB", 0)) * 1024;
   c.reps = env_int("CATS_BENCH_REPS", 1);
   if (const char* j = std::getenv("CATS_BENCH_JSON")) json_log().enable(j);
-  c.tuning = parse_tuning(std::getenv("CATS_BENCH_TUNE"));
   c.affinity = parse_affinity(std::getenv("CATS_BENCH_AFFINITY"));
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json_log().enable(argv[i + 1]);
-    if (std::strcmp(argv[i], "--tune") == 0) c.tuning = parse_tuning(argv[i + 1]);
     if (std::strcmp(argv[i], "--affinity") == 0)
       c.affinity = parse_affinity(argv[i + 1]);
   }
@@ -92,30 +81,8 @@ inline RunOptions options_for(const BenchConfig& c, Scheme s) {
   opt.threads = c.threads;
   opt.cache_bytes = c.cache_bytes;
   opt.scheme = s;
-  opt.tuning = c.tuning;
   opt.affinity = c.affinity;
   return opt;
-}
-
-/// Tuning::Search resolution: the bench harness owns a kernel factory, so a
-/// DB miss can be filled by an actual neighborhood search here (run() itself
-/// degrades Search to UseDb — it has no factory). Downgrades `opt` to UseDb
-/// afterwards so the timed runs below pay only a cached lookup.
-template <class MakeKernel>
-void ensure_tuned(MakeKernel&& make_kernel, int T, RunOptions& opt) {
-  if (opt.tuning != Tuning::Search || opt.scheme != Scheme::Auto) return;
-  auto k = make_kernel();
-  tune::DbKey key;
-  key.machine = machine_fingerprint();
-  key.kernel = kernel_tuning_id(k);
-  key.shape = tune::shape_bucket(domain_shape(k));
-  key.threads = opt.threads;
-  const std::string path =
-      opt.tuning_db_path ? opt.tuning_db_path : tune::TuneDb::default_path();
-  if (!tune::cached_lookup(path, key)) {
-    tune::search_and_store(make_kernel, T, opt, path);
-  }
-  opt.tuning = Tuning::UseDb;
 }
 
 /// Analytic DRAM bytes for one timed configuration, RFO-corrected
@@ -163,7 +130,6 @@ template <class MakeKernel>
 double time_scheme(MakeKernel&& make_kernel, int T, const RunOptions& opt,
                    int reps, SchemeChoice* choice_out = nullptr) {
   RunOptions ropt = opt;
-  ensure_tuned(make_kernel, T, ropt);
   RunStats wait_stats;
   if (json_log().enabled() && !ropt.stats) ropt.stats = &wait_stats;
   std::vector<double> samples;

@@ -16,9 +16,9 @@ namespace cats::bench {
 
 /// Stable identity string for the executing machine: CPU model, cache
 /// topology, hardware thread count and the SIMD ISA the binary selected.
-/// Keys the persistent tuning database — tuned parameters from one machine
-/// must never be applied on another (or on the same machine after a rebuild
-/// that changes the vector width).
+/// Keys bench JSON output, so results from one machine are never compared
+/// as if they came from another (or from a rebuild with another vector
+/// width).
 std::string machine_fingerprint();
 
 /// Streaming copy bandwidth over a working set (GB/s, counting read+write).

@@ -32,18 +32,6 @@ enum class Scheme {
              ///< it (Malas et al.), sizing BZ against the group-shared Z*group
 };
 
-/// Empirical-tuning policy (src/tune). The paper's Eq. 1/2 are analytic; on
-/// real machines the usable cache share and the best slack drift, so tuned
-/// parameters measured by `cats_tune` can be persisted and reused.
-enum class Tuning {
-  Off,    ///< pure analytic selection (bit-identical to the pre-tuning library)
-  UseDb,  ///< Scheme::Auto consults the tuning DB first, falls back to Eq. 1/2
-  Search, ///< like UseDb; harnesses with a kernel factory (bench/common.hpp,
-          ///< tune::search) run a pilot neighborhood search on a DB miss and
-          ///< persist the winner. Inside run() itself (no factory: pilots
-          ///< would advance the caller's simulation state) it acts as UseDb.
-};
-
 struct RunOptions {
   /// Worker threads (the caller is one of them).
   int threads = 1;
@@ -113,13 +101,6 @@ struct RunOptions {
   /// non-null and non-empty; the pointee must outlive the run. Degrades to
   /// unpinned exactly like the policy path when sched_setaffinity fails.
   const std::vector<int>* pin_cpus = nullptr;
-
-  /// Empirical-tuning policy; Off keeps selection purely analytic.
-  Tuning tuning = Tuning::Off;
-
-  /// Tuning DB location; nullptr = tune::TuneDb::default_path()
-  /// ($CATS_TUNE_DB, else ~/.cache/cats/tune.json).
-  const char* tuning_db_path = nullptr;
 };
 
 /// MWD group width: `group` clamped to [1, threads] and then reduced to the

@@ -56,6 +56,26 @@ DomainShape domain_shape(const K& k) {
   return domain_shape(detail::kernel_dims<K>, e.w, e.h, e.d);
 }
 
+/// The options run(k, T, opt) executes under. A worker count below 1 is
+/// clamped to 1 with a one-time note. Gauss-Seidel-style kernels (same-
+/// timestep spatial reads) admit no split-tiling parallelism, so they run the
+/// serial CATS1 wavefront, which keeps the full temporal-locality benefit, or
+/// the serial naive sweep. mwd_group is sanitized against the final pool.
+/// plan() and plan_request() resolve through here too, so what they report
+/// is what run() executes.
+template <class K>
+  requires RowKernel1D<K> || RowKernel2D<K> || RowKernel3D<K>
+RunOptions resolve_run_options(const K&, const RunOptions& opt) {
+  RunOptions eff = opt;
+  eff.threads = sanitize_threads(opt.threads);
+  if constexpr (kernel_sequential_deps<K>()) {
+    eff.threads = 1;
+    if (opt.scheme != Scheme::Naive) eff.scheme = Scheme::Cats1;
+  }
+  eff.mwd_group = sanitize_mwd_group(eff.mwd_group, eff.threads, eff.scheme);
+  return eff;
+}
+
 /// The kernel-free planning request for running `k` T steps under `opt`:
 /// what emit_plan (and through it the verifier) needs to rebuild the exact
 /// plan run() executes.
@@ -72,38 +92,34 @@ plan_ir::PlanRequest plan_request(const K& k, int T, const RunOptions& opt) {
   rq.slope = k.slope();
   rq.cs_eff = effective_cs(k, opt.cs_slack);
   rq.elem_bytes = kernel_element_bytes(k);
-  rq.opt = opt;
+  rq.opt = resolve_run_options(k, opt);
   return rq;
 }
 
 /// Scheme + parameters that run(k, T, opt) would use (without running).
-/// With opt.tuning != Off and Scheme::Auto, the persistent tuning DB is
-/// consulted first (apply_tuning); a miss falls back to Eq. 1/2 unchanged.
 template <class K>
   requires RowKernel1D<K> || RowKernel2D<K> || RowKernel3D<K>
 SchemeChoice plan(const K& k, int T, const RunOptions& opt) {
-  const KernelCosts costs{k.slope(), effective_cs(k, opt.cs_slack),
+  const RunOptions eff = resolve_run_options(k, opt);
+  const KernelCosts costs{k.slope(), effective_cs(k, eff.cs_slack),
                           kernel_element_bytes(k)};
-  const DomainShape d = domain_shape(k);
-  if (opt.tuning != Tuning::Off) {
-    return select_scheme(d, costs, apply_tuning(opt, kernel_tuning_id(k), d), T);
-  }
-  return select_scheme(d, costs, opt, T);
+  return select_scheme(domain_shape(k), costs, eff, T);
 }
 
 /// Apply the kernel's stencil T times with the selected scheme.
 template <class K>
   requires RowKernel1D<K> || RowKernel2D<K> || RowKernel3D<K>
 SchemeChoice run(K& k, int T, const RunOptions& opt) {
+  const RunOptions eff = resolve_run_options(k, opt);
   // Validation mode (opt.validate or CATS_VALIDATE in the environment):
   // attach a temporary dependence oracle for this run, then require a clean
   // report — any violated dependence prints its precise diagnostic and
   // aborts, so a schedule regression fails fast in any build type.
-  if (T > 0 && opt.oracle == nullptr &&
-      (opt.validate || check::validate_env_enabled())) {
+  if (T > 0 && eff.oracle == nullptr &&
+      (eff.validate || check::validate_env_enabled())) {
     const detail::Extents e = detail::extents(k);
-    check::DepOracle oracle(e.w, e.h, e.d, k.slope(), opt.threads);
-    RunOptions vopt = opt;
+    check::DepOracle oracle(e.w, e.h, e.d, k.slope(), eff.threads);
+    RunOptions vopt = eff;
     vopt.oracle = &oracle;
     vopt.validate = false;
     const SchemeChoice choice = run(k, T, vopt);
@@ -118,21 +134,7 @@ SchemeChoice run(K& k, int T, const RunOptions& opt) {
     }
     return choice;
   }
-  RunOptions eff = opt;
-  if constexpr (kernel_sequential_deps<K>()) {
-    // Gauss-Seidel-style kernels (same-timestep spatial reads) admit no
-    // split-tiling parallelism: force the serial CATS1 wavefront (which
-    // still provides the full temporal-locality benefit) or the serial
-    // naive sweep.
-    eff.threads = 1;
-    if (opt.scheme != Scheme::Naive) eff.scheme = Scheme::Cats1;
-  } else if (opt.tuning != Tuning::Off) {
-    // Resolve tuning once so a DB entry's thread count (run_threads) also
-    // reaches the executed plan, not just the tile parameters. plan() on the
-    // resolved options is a no-op second lookup: a hit made scheme explicit.
-    eff = apply_tuning(opt, kernel_tuning_id(k), domain_shape(k));
-  }
-  eff.mwd_group = sanitize_mwd_group(eff.mwd_group, eff.threads, eff.scheme);
+  // plan() and plan_request() resolve eff again; resolution is idempotent.
   const SchemeChoice choice = plan(k, T, eff);
   if (T <= 0) return choice;
   // emit_plan applies the dimensional fallbacks (CATS2 in 1D -> CATS1,

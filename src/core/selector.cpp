@@ -6,10 +6,8 @@
 #include <cstdio>
 #include <limits>
 
-#include "bench_harness/machine.hpp"
 #include "check/check.hpp"
 #include "sysinfo/cache_info.hpp"
-#include "tune/db.hpp"
 
 namespace cats {
 
@@ -178,57 +176,6 @@ SchemeChoice resolve_dispatch(const SchemeChoice& c, int dims) {
   return c;
 }
 
-RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
-                        const DomainShape& d) {
-  if (opt.tuning == Tuning::Off || opt.scheme != Scheme::Auto) return opt;
-
-  tune::DbKey key;
-  key.machine = bench::machine_fingerprint();
-  key.kernel = kernel_id;
-  key.scheme_key = "auto";
-  key.shape = tune::shape_bucket(d);
-  key.threads = opt.threads;
-
-  const std::string path =
-      opt.tuning_db_path ? opt.tuning_db_path : tune::TuneDb::default_path();
-  const std::optional<tune::DbEntry> e = tune::cached_lookup(path, key);
-  if (!e) return opt;
-
-  RunOptions tuned = opt;
-  if (e->run_threads > 0 && e->run_threads <= opt.threads)
-    tuned.threads = e->run_threads;
-  // Affinity is advisory like everything else here: an unrecognized name
-  // (newer DB) keeps the caller's policy, and pinning still degrades
-  // gracefully at the ThreadPool if the recorded policy can't be applied.
-  if (e->affinity == "none") tuned.affinity = AffinityPolicy::None;
-  else if (e->affinity == "compact") tuned.affinity = AffinityPolicy::Compact;
-  else if (e->affinity == "scatter") tuned.affinity = AffinityPolicy::Scatter;
-  // MWD group width: advisory like the rest — untuned entries (older DBs)
-  // keep the caller's value.
-  if (e->mwd_group > 0 && e->mwd_group <= opt.threads)
-    tuned.mwd_group = e->mwd_group;
-  if (e->scheme == "Naive") {
-    tuned.scheme = Scheme::Naive;
-  } else if (e->scheme == "CATS1" && e->tz > 0) {
-    tuned.scheme = Scheme::Cats1;
-    tuned.tz_override = e->tz;
-  } else if (e->scheme == "CATS2" && e->bz > 0) {
-    tuned.scheme = Scheme::Cats2;
-    tuned.bz_override = static_cast<int>(e->bz);
-  } else if (e->scheme == "CATS3" && e->bz > 0) {
-    tuned.scheme = Scheme::Cats3;
-    tuned.bz_override = static_cast<int>(e->bz);
-    tuned.bx_override = static_cast<int>(e->bx > 0 ? e->bx : e->bz);
-  } else if (e->scheme == "MWD") {
-    // bz == 0 is valid here: the tuner's MWD probes record "re-derive via
-    // Eq. 2 at the pooled budget", which select_scheme does for override 0.
-    tuned.scheme = Scheme::Mwd;
-    if (e->bz > 0) tuned.bz_override = static_cast<int>(e->bz);
-  }
-  // Unrecognized scheme names (newer DB version) leave opt untouched.
-  return tuned;
-}
-
 int sanitize_mwd_group(int mwd_group, int threads, Scheme scheme) {
   if (mwd_group > 1 && scheme != Scheme::Mwd && scheme != Scheme::Auto) {
     static std::atomic<bool> noted{false};
@@ -251,6 +198,15 @@ int sanitize_mwd_group(int mwd_group, int threads, Scheme scheme) {
     }
   }
   return g;
+}
+
+int sanitize_threads(int threads) {
+  if (threads >= 1) return threads;
+  static std::atomic<bool> noted{false};
+  if (!noted.exchange(true)) {
+    std::fprintf(stderr, "cats: threads=%d clamped to 1\n", threads);
+  }
+  return 1;
 }
 
 }  // namespace cats

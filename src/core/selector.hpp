@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "core/options.hpp"
 
@@ -82,21 +81,15 @@ double cats3_bz_raw(std::size_t cache_bytes, const KernelCosts& k);
 /// opt.cache_bytes, or the detected per-core private L2 when 0.
 std::size_t resolve_cache_bytes(const RunOptions& opt);
 
-/// Empirical-tuning resolution (Section "Tuning" in DESIGN.md). When
-/// opt.tuning != Off and opt.scheme == Auto, look the (machine fingerprint,
-/// kernel_id, shape bucket, threads) key up in the persistent tuning DB and,
-/// on a hit from THIS machine, return a copy of opt with the tuned scheme and
-/// tile parameters applied as explicit settings. Misses — including a
-/// missing/corrupt DB file or an entry recorded on another machine — return
-/// opt unchanged, so Eq. 1/2 selection proceeds exactly as with tuning Off.
-RunOptions apply_tuning(const RunOptions& opt, const std::string& kernel_id,
-                        const DomainShape& d);
-
 /// RunOptions::mwd_group sanitizer: same math as mwd_group_width
 /// (clamp to [1, threads], then the largest divisor of threads), but with a
 /// one-time stderr diagnostic when the request had to be adjusted, and a
 /// one-time note when a non-default group is set on a scheme that ignores it
 /// (every scheme except Mwd/Auto). Returns the effective group width.
 int sanitize_mwd_group(int mwd_group, int threads, Scheme scheme);
+
+/// RunOptions::threads sanitizer: a worker count below 1 becomes 1, with a
+/// one-time stderr diagnostic. Returns the effective worker count.
+int sanitize_threads(int threads);
 
 }  // namespace cats

@@ -16,7 +16,6 @@
 
 #include <concepts>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace cats {
@@ -100,26 +99,6 @@ template <class K>
   }
 double kernel_element_bytes(const K& k) {
   return k.element_bytes();
-}
-
-/// Stable identity string keying the tuning database (src/tune). Kernels
-/// expose a `tune_id()` member ("const2d/s1", "fdtd2d", ...); anything else
-/// falls back to a structural id from dimensionality, slope, element size and
-/// field count — kernels of the same family then share tuned parameters,
-/// which is exactly the Eq. 1/2 equivalence class.
-template <class K>
-std::string kernel_tuning_id(const K& k) {
-  if constexpr (requires { { k.tune_id() } -> std::convertible_to<std::string>; }) {
-    return k.tune_id();
-  } else {
-    int dims = 0;
-    if constexpr (RowKernel3D<K>) dims = 3;
-    else if constexpr (RowKernel2D<K>) dims = 2;
-    else if constexpr (RowKernel1D<K>) dims = 1;
-    return "k" + std::to_string(dims) + "d/s" + std::to_string(k.slope()) +
-           "/e" + std::to_string(static_cast<int>(kernel_element_bytes(k))) +
-           "/f" + std::to_string(static_cast<int>(k.state_doubles_per_point()));
-  }
 }
 
 }  // namespace cats

@@ -12,8 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/options.hpp"
@@ -47,13 +45,6 @@ class Banded2D {
   double extra_cache_doubles_per_point() const { return kBands; }
   /// Bytes per stored element — parameterizes Eq. 1/2 tile sizing.
   double element_bytes() const { return static_cast<double>(sizeof(T)); }
-  std::string tune_id() const {
-    if constexpr (std::is_same_v<T, float>) {
-      return "banded2d_f32/s" + std::to_string(S);
-    } else {
-      return "banded2d/s" + std::to_string(S);
-    }
-  }
 
   /// Band order: 0 = center, then per k=1..S: x-k, x+k, y-k, y+k.
   Grid2D<T>& band(int b) { return bands_[static_cast<std::size_t>(b)]; }

@@ -8,7 +8,6 @@
 #include <array>
 #include <cstdint>
 #include <vector>
-#include <string>
 
 #include "grid/grid2d.hpp"
 #include "simd/vecd.hpp"
@@ -36,7 +35,6 @@ class Box2D {
   double flops_per_point() const { return 2.0 * kPoints - 1.0; }
   double state_doubles_per_point() const { return 1.0; }
   double extra_cache_doubles_per_point() const { return 0.0; }
-  std::string tune_id() const { return "box2d/s" + std::to_string(S); }
 
   template <class F>
   void init(F&& f, double bnd = 0.0) {

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <vector>
-#include <string>
 
 #include "grid/grid3d.hpp"
 #include "simd/vecd.hpp"
@@ -33,7 +32,6 @@ class Box3D {
   double flops_per_point() const { return 2.0 * kPoints - 1.0; }
   double state_doubles_per_point() const { return 1.0; }
   double extra_cache_doubles_per_point() const { return 0.0; }
-  std::string tune_id() const { return "box3d/s" + std::to_string(S); }
 
   template <class F>
   void init(F&& f, double bnd = 0.0) {

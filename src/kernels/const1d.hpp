@@ -6,7 +6,6 @@
 #include <array>
 #include <cstdint>
 #include <vector>
-#include <string>
 
 #include "grid/grid2d.hpp"
 #include "simd/vecd.hpp"
@@ -34,7 +33,6 @@ class ConstStar1D {
   double flops_per_point() const { return 4.0 * S + 1.0; }
   double state_doubles_per_point() const { return 1.0; }
   double extra_cache_doubles_per_point() const { return 0.0; }
-  std::string tune_id() const { return "const1d/s" + std::to_string(S); }
 
   template <class F>
   void init(F&& f, double bnd = 0.0) {

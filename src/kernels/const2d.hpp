@@ -15,8 +15,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/options.hpp"
@@ -55,13 +53,6 @@ class ConstStar2D {
   /// Bytes per stored element — parameterizes Eq. 1/2 tile sizing (E in the
   /// paper's parameter list): 8 for double, 4 for float.
   double element_bytes() const { return static_cast<double>(sizeof(T)); }
-  std::string tune_id() const {
-    if constexpr (std::is_same_v<T, float>) {
-      return "const2d_f32/s" + std::to_string(S);
-    } else {
-      return "const2d/s" + std::to_string(S);
-    }
-  }
 
   /// Set initial interior values u(x,y,t=0) and constant boundary `bnd`.
   template <class F>

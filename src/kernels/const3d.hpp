@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/options.hpp"
@@ -49,13 +47,6 @@ class ConstStar3D {
   double extra_cache_doubles_per_point() const { return 0.0; }
   /// Bytes per stored element — parameterizes Eq. 1/2 tile sizing.
   double element_bytes() const { return static_cast<double>(sizeof(T)); }
-  std::string tune_id() const {
-    if constexpr (std::is_same_v<T, float>) {
-      return "const3d_f32/s" + std::to_string(S);
-    } else {
-      return "const3d/s" + std::to_string(S);
-    }
-  }
 
   template <class F>
   void init(F&& f, T bnd = 0) {

@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <vector>
-#include <string>
 
 #include "core/options.hpp"
 #include "grid/grid2d.hpp"
@@ -47,7 +46,6 @@ class Fdtd2D {
   double flops_per_point() const { return 17.0; }
   double state_doubles_per_point() const { return 3.0; }
   double extra_cache_doubles_per_point() const { return 0.0; }
-  std::string tune_id() const { return "fdtd2d"; }
 
   /// f(x, y) -> (ex0, ey0, hz0) initial fields; ghosts are 0 (PEC-style).
   template <class F>

@@ -35,8 +35,6 @@ RunOptions job_run_options(const JobRequest& rq, const ExecEnv& env) {
   opt.cache_tenants = env.cache_tenants;
   if (env.pin_cpus != nullptr && !env.pin_cpus->empty())
     opt.pin_cpus = env.pin_cpus;
-  opt.tuning = env.tuning;
-  opt.tuning_db_path = env.tune_db;
   opt.stats = env.stats;
   return opt;
 }

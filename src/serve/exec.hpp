@@ -29,9 +29,7 @@ struct ExecEnv {
   const std::vector<int>* pin_cpus = nullptr;
   int threads = 1;        ///< default worker count for this dispatch
   int cache_tenants = 1;  ///< co-resident jobs sharing the shard's cache
-  Tuning tuning = Tuning::Off;
-  const char* tune_db = nullptr;  ///< absolute DB path; nullptr = default
-  RunStats* stats = nullptr;      ///< shard-wide sync counters (optional)
+  RunStats* stats = nullptr;  ///< shard-wide sync counters (optional)
 };
 
 /// Deterministic initial condition in [0, 1): splitmix64-style hash of the
@@ -52,7 +50,7 @@ inline double init_value(std::uint64_t seed, std::int64_t x, std::int64_t y,
 }
 
 /// RunOptions a job resolves to under `env` (threads clamp, pinning, tenant
-/// cache share, tuning DB). Shared with the split executor (serve/halo.hpp)
+/// cache share). Shared with the split executor (serve/halo.hpp)
 /// so a per-shard block run uses exactly the single-shard option surface.
 RunOptions job_run_options(const JobRequest& rq, const ExecEnv& env);
 

@@ -6,7 +6,6 @@
 #include "plan/shard.hpp"
 #include "serve/exec.hpp"
 #include "serve/halo.hpp"
-#include "tune/db.hpp"
 
 namespace cats::serve {
 
@@ -27,8 +26,6 @@ Scheduler::Scheduler(SchedulerConfig cfg, const Topology* topo)
     : cfg_(std::move(cfg)),
       plan_(derive_shards(topo != nullptr ? *topo : system_topology(),
                           cfg_.shards, cfg_.threads_per_shard)),
-      tune_db_(cfg_.tune_db.empty() ? tune::TuneDb::default_path()
-                                    : cfg_.tune_db),
       queue_(cfg_.queue_capacity) {
   cfg_.coresident = std::max(cfg_.coresident, 1);
   shard_stats_.resize(static_cast<std::size_t>(plan_.size()));
@@ -200,8 +197,6 @@ void Scheduler::run_batch(int shard, std::vector<QueuedJob> batch,
                        : &slices[static_cast<std::size_t>(j)];
     env.threads = per;
     env.cache_tenants = tenants;
-    env.tuning = cfg_.tuning;
-    env.tune_db = tune_db_.c_str();
     env.stats = &run_stats_;
     results[static_cast<std::size_t>(j)] =
         execute_job(batch[static_cast<std::size_t>(j)].req, env);
@@ -260,8 +255,6 @@ void Scheduler::run_split(int shard, QueuedJob job,
   }
   ExecEnv env;
   env.threads = plan_.shards[0].threads;
-  env.tuning = cfg_.tuning;
-  env.tune_db = tune_db_.c_str();
   env.stats = &run_stats_;
 
   const Clock::time_point t0 = Clock::now();

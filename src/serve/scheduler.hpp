@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <future>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -47,8 +46,6 @@ struct SchedulerConfig {
   /// Split::Auto (when > 1 shard exists and the geometry admits it).
   std::int64_t split_min_points = std::int64_t{1} << 21;
   int max_block = 8;          ///< halo-split block-depth cap (even)
-  Tuning tuning = Tuning::Off;
-  std::string tune_db;        ///< absolute path; empty = TuneDb::default_path()
 };
 
 struct ShardExecStats {
@@ -107,7 +104,6 @@ class Scheduler {
 
   SchedulerConfig cfg_;
   ShardPlan plan_;
-  std::string tune_db_;  ///< resolved absolute DB path
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< executors: queue/state changed

@@ -92,7 +92,7 @@ struct Parser {
             else return false;
           }
           // UTF-8 encode the BMP code point (surrogate pairs degrade to two
-          // 3-byte sequences; the tuning DB only stores ASCII in practice).
+          // 3-byte sequences; every producer here writes ASCII in practice).
           if (cp < 0x80) {
             out.push_back(static_cast<char>(cp));
           } else if (cp < 0x800) {

@@ -1,11 +1,12 @@
 #pragma once
-// Minimal JSON reader/writer for the tuning subsystem.
+// Minimal JSON reader/writer.
 //
-// The tuning database and the bench --json emitter need a dependency-free
-// round-trip format. This is deliberately a small, tolerant subset parser:
-// objects, arrays, strings (with \" \\ \/ \b \f \n \r \t \uXXXX escapes),
-// numbers, true/false/null. Parse failures return false instead of throwing —
-// a corrupted database file must never take down a run.
+// The serve protocol, the bench --json emitter and the benchmark's reports
+// need a dependency-free round-trip format. This is deliberately a small,
+// tolerant subset parser: objects, arrays, strings (with \" \\ \/ \b \f \n
+// \r \t \uXXXX escapes), numbers, true/false/null. Parse failures return
+// false instead of throwing — a malformed request or file must never take
+// down a process.
 
 #include <concepts>
 #include <limits>

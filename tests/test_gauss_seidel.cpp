@@ -54,8 +54,15 @@ TEST(GaussSeidel, SerialCats1MatchesRowMajorReference) {
     opt.scheme = s;
     opt.threads = 4;  // must be ignored: sequential-deps kernels serialize
     opt.cache_bytes = 16 * 1024;
+    const SchemeChoice planned = plan(k, 17, opt);
     const SchemeChoice c = run(k, 17, opt);
     EXPECT_TRUE(c.scheme == Scheme::Cats1 || c.scheme == Scheme::Naive);
+    // plan() reports the serialized choice run() executes.
+    EXPECT_EQ(planned.scheme, c.scheme) << scheme_name(s);
+    EXPECT_EQ(planned.tz, c.tz) << scheme_name(s);
+    EXPECT_EQ(planned.bz, c.bz) << scheme_name(s);
+    EXPECT_EQ(planned.bx, c.bx) << scheme_name(s);
+    EXPECT_EQ(planned.group, c.group) << scheme_name(s);
     std::vector<double> got;
     k.copy_result_to(got, 17);
     expect_bit_equal(got, want, scheme_name(s));

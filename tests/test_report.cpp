@@ -1,4 +1,6 @@
-// Bench-harness utility tests: table formatting, stats, number formatting.
+// Bench-harness utility tests: table formatting, stats, number formatting,
+// and the dependency-free JSON reader/writer the reports and the serve
+// protocol share.
 
 #include <gtest/gtest.h>
 
@@ -6,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "bench_harness/ascii_plot.hpp"
 #include "bench_harness/report.hpp"
@@ -92,6 +95,36 @@ TEST(SeriesPlot, OverlapsMarkedAndEmptyHandled) {
   std::ostringstream os2;
   empty.render(os2, 20, 8);
   EXPECT_NE(os2.str().find("no positive data"), std::string::npos);
+}
+
+TEST(Json, ParsesScalarsArraysObjects) {
+  cats::tune::JsonValue v;
+  ASSERT_TRUE(cats::tune::json_parse(R"({"a": 1.5, "b": [1, 2, 3], "c": {"d": "x\n"},
+                                         "t": true, "n": null})", v));
+  EXPECT_EQ(v.get_number("a"), 1.5);
+  ASSERT_NE(v.get("b"), nullptr);
+  EXPECT_EQ(v.get("b")->items.size(), 3u);
+  EXPECT_EQ(v.get("c")->get_string("d"), "x\n");
+  EXPECT_TRUE(v.get("t")->boolean);
+  EXPECT_EQ(v.get("n")->kind, cats::tune::JsonValue::Kind::Null);
+}
+
+TEST(Json, RejectsMalformedInput) {
+  cats::tune::JsonValue v;
+  EXPECT_FALSE(cats::tune::json_parse("{", v));
+  EXPECT_FALSE(cats::tune::json_parse("{\"a\": }", v));
+  EXPECT_FALSE(cats::tune::json_parse("[1, 2", v));
+  EXPECT_FALSE(cats::tune::json_parse("{} trailing", v));
+  EXPECT_FALSE(cats::tune::json_parse("", v));
+}
+
+TEST(Json, EscapeRoundTrips) {
+  const std::string nasty = "a\"b\\c\nd\te\x01f";
+  cats::tune::JsonValue v;
+  ASSERT_TRUE(cats::tune::json_parse("{\"k\": " + cats::tune::json_quote(nasty) + "}", v));
+  EXPECT_EQ(v.get_string("k"), nasty);
+  EXPECT_EQ(cats::tune::json_number(0.5), "0.5");
+  EXPECT_EQ(cats::tune::json_number(1e300), "1e+300");
 }
 
 TEST(JsonLog, SerializesTablesAndScalars) {

@@ -136,6 +136,15 @@ TEST(Schemes2D, MoreThreadsThanTilesOrRows) {
   }
 }
 
+TEST(Schemes2D, ThreadsBelowOneClampToOne) {
+  for (int threads : {0, -3}) {
+    RunOptions opt;
+    opt.threads = threads;
+    expect_bit_equal(scheme_const2d<1>(200, 200, 20, opt),
+                     reference_const2d<1>(200, 200, 20), "threads<1");
+  }
+}
+
 TEST(Schemes2D, SingleTimestepAndZeroTimesteps) {
   for (Scheme s : {Scheme::Naive, Scheme::Cats1, Scheme::Cats2,
                    Scheme::PlutoLike}) {

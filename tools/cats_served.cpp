@@ -33,7 +33,6 @@ const char* kUsage =
     "  --coresident N       max batched tenants per shard (default 2)\n"
     "  --split-min-points N halo-split threshold under split=auto\n"
     "  --max-block N        halo-split block depth cap (default 8)\n"
-    "  --tune-db PATH       tuning DB file (absolute; enables Tuning::UseDb)\n"
     "  --verbose            log accepts and jobs to stderr\n";
 
 std::string default_socket() {
@@ -72,9 +71,6 @@ int main(int argc, char** argv) {
       cfg.sched.split_min_points = std::atoll(next());
     } else if (a == "--max-block") {
       cfg.sched.max_block = std::atoi(next());
-    } else if (a == "--tune-db") {
-      cfg.sched.tune_db = next();
-      cfg.sched.tuning = cats::Tuning::UseDb;
     } else if (a == "--verbose") {
       cfg.verbose = true;
     } else if (a == "--help" || a == "-h") {
